@@ -237,11 +237,14 @@ def _cmd_free(args) -> int:
             raw = _inline_json(args.system)
         else:
             raw = serialize._load_json(args.system)
-        shared = raw.get("shared_size")
-        if shared is None:
-            raise InputFormatError("<free spec>", "shared_size", "missing")
+        where = "<free spec>"
+        if not isinstance(raw, dict):
+            raise InputFormatError(where, "<json>", "expected an object")
         free = free_monoid_system(
-            shared, raw.get("lambda", []), raw.get("rho", []), args.bound
+            serialize._require(raw, "shared_size", where, int),
+            serialize._int_matrix(raw.get("lambda", []), "lambda", where),
+            serialize._int_matrix(raw.get("rho", []), "rho", where),
+            args.bound,
         )
     elif args.sizes:
         free = free_semigroup_system(_parse_sizes(args.sizes), args.bound)

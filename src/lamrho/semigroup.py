@@ -183,18 +183,27 @@ def subsemigroup_closure(sg: FiniteSemigroup, generators) -> tuple[int, ...]:
     for g in gens:
         if not 0 <= g < sg.size:
             raise OutOfRangeEntryError(f"generator {g} out of range")
-    closed = set(gens)
-    frontier = list(gens)
+    closed: set[int] = set()
+    _grow_closure(sg.table, closed, gens)
+    return tuple(sorted(closed))
+
+
+def _grow_closure(table, closed: set, new) -> None:
+    """Adjoin the elements ``new`` to the product-closed set ``closed``, in
+    place, and close it again. Only products with at least one new factor
+    are formed: the others already lie in ``closed``."""
+    frontier = [x for x in new if x not in closed]
+    closed.update(frontier)
     while frontier:
         nxt = []
         for x in frontier:
+            row_x = table[x]
             for y in list(closed):
-                for z in (sg.mul(x, y), sg.mul(y, x)):
+                for z in (row_x[y], table[y][x]):
                     if z not in closed:
                         closed.add(z)
                         nxt.append(z)
         frontier = nxt
-    return tuple(sorted(closed))
 
 
 def subsemigroup_table(sg: FiniteSemigroup, elements) -> FiniteSemigroup:
@@ -297,38 +306,76 @@ def is_congruence(sg: FiniteSemigroup, part: Partition) -> bool:
     return True
 
 
+# The congruence engine works on union-find forests in which every parent
+# pointer goes to a lesser element, so every root is the least member of its
+# class and the tuple of each element's root ("leaders") is a canonical key
+# for the partition.
+
+
+def _leaders(parent: list) -> tuple[int, ...]:
+    lead = list(parent)
+    for x, p in enumerate(lead):
+        lead[x] = lead[p]  # p <= x, so lead[p] is already p's root
+    return tuple(lead)
+
+
+def _partition(leaders) -> Partition:
+    groups: dict[int, list[int]] = {}
+    for x, lead in enumerate(leaders):
+        groups.setdefault(lead, []).append(x)
+    return Partition.from_classes(len(leaders), groups.values())
+
+
+def _close(table, gens, parent: list, classes: int, work: list, floor: int):
+    """Merge the pairs on ``work`` into ``parent``, pushing each pair that
+    merges two classes through the left and right translations by ``gens``.
+
+    When ``gens`` generates the semigroup the result is the least
+    congruence above ``parent`` and ``work``: every translation is a
+    composite of generator translations, and the merging pairs connect
+    every class, so the result is closed under all of them. Returns the
+    number of classes, or None as soon as it falls below ``floor``.
+    """
+    while work:
+        a, b = work.pop()
+        ra, rb = a, b
+        while parent[ra] != ra:  # find with path halving
+            parent[ra] = ra = parent[parent[ra]]
+        while parent[rb] != rb:
+            parent[rb] = rb = parent[parent[rb]]
+        if ra == rb:
+            continue
+        if ra < rb:
+            parent[rb] = ra
+        else:
+            parent[ra] = rb
+        classes -= 1
+        if classes < floor:
+            return None
+        row_a, row_b = table[a], table[b]
+        for g in gens:
+            row_g = table[g]
+            work.append((row_a[g], row_b[g]))
+            work.append((row_g[a], row_g[b]))
+    return classes
+
+
 def congruence_generated_by(sg: FiniteSemigroup, pairs) -> Partition:
     """Least congruence containing the given pairs.
 
-    Pair-closure fixpoint: each identified pair is pushed through every
-    left and right translation until the relation is stable.
+    Union-find closure: every pair that merges two classes is pushed
+    through the left and right translations by a generating set
+    (:func:`greedy_generators`) until the relation is stable, which is
+    2|G| pushes per merge instead of 2|S|.
     """
-    parent = list(range(sg.size))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     work = []
     for a, b in pairs:
         if not (0 <= a < sg.size and 0 <= b < sg.size):
             raise OutOfRangeEntryError(f"pair ({a},{b}) out of range")
         work.append((a, b))
-    while work:
-        a, b = work.pop()
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        parent[max(ra, rb)] = min(ra, rb)
-        for c in sg.elements():
-            work.append((sg.mul(a, c), sg.mul(b, c)))
-            work.append((sg.mul(c, a), sg.mul(c, b)))
-    groups = {}
-    for x in sg.elements():
-        groups.setdefault(find(x), []).append(x)
-    return Partition.from_classes(sg.size, groups.values())
+    parent = list(range(sg.size))
+    _close(sg.table, greedy_generators(sg), parent, sg.size, work, 1)
+    return _partition(_leaders(parent))
 
 
 def quotient(sg: FiniteSemigroup, part: Partition) -> FiniteSemigroup:
@@ -347,40 +394,67 @@ def quotient(sg: FiniteSemigroup, part: Partition) -> FiniteSemigroup:
 def all_congruences(sg: FiniteSemigroup, cap: int = DEFAULT_CONGRUENCE_CAP):
     """Every congruence of sg, as joins of principal congruences.
 
+    Each principal congruence Cg(a, b) is closed by :func:`_close` over
+    the translations by one generating set. Every congruence is a join of
+    principal ones, and the join of two congruences is their join as
+    equivalence relations (Con(S) is a sublattice of Eq(S)), so joins are
+    formed by merging one partition into the other in a union-find, with
+    no translation pushes.
+
     Deterministic order: sorted by (number of classes descending, class
-    tuple). Raises SearchCapError if more than ``cap`` distinct
-    congruences are generated.
+    tuple). ``cap`` counts the congruences the search holds, the discrete
+    one included; SearchCapError is raised as soon as it holds more.
     """
+    return _congruences_above(sg, cap, 1)
+
+
+def _congruences_above(sg: FiniteSemigroup, cap: int, floor: int) -> list:
+    """The congruences of sg with at least ``floor`` classes, in the order
+    of :func:`all_congruences`.
+
+    A join never has more classes than either operand, so a congruence
+    with k >= floor classes is the join of the principal congruences below
+    it, each with at least k classes, taken one at a time through partial
+    joins that all keep at least k classes. Principals and joins that fall
+    below the floor are therefore dropped as soon as they do.
+    """
+    n, table = sg.size, sg.table
+    gens = greedy_generators(sg)
+    known = {tuple(range(n)): n}  # leaders -> number of classes
+
+    def hold(leaders, classes):
+        known[leaders] = classes
+        if len(known) > cap:
+            raise SearchCapError(f"more than {cap} congruences; search truncated")
+
     principals = []
-    seen = set()
-    for a in sg.elements():
-        for b in range(a + 1, sg.size):
-            p = congruence_generated_by(sg, [(a, b)])
-            if p.classes not in seen:
-                seen.add(p.classes)
-                principals.append(p)
-    known = {Partition.discrete(sg.size).classes}
-    for p in principals:
-        known.add(p.classes)
+    for a in range(n):
+        for b in range(a + 1, n):
+            parent = list(range(n))
+            classes = _close(table, gens, parent, n, [(a, b)], floor)
+            if classes is None:
+                continue
+            leaders = _leaders(parent)
+            if leaders not in known:
+                hold(leaders, classes)
+                principals.append([(x, y) for x, y in enumerate(leaders) if x != y])
     frontier = list(known)
     while frontier:
         fresh = []
-        for classes in frontier:
-            base_pairs = [
-                (cls[0], x) for cls in classes for x in cls[1:]
-            ]
-            for p in principals:
-                extra = [(cls[0], x) for cls in p.classes for x in cls[1:]]
-                joined = congruence_generated_by(sg, base_pairs + extra)
-                if joined.classes not in known:
-                    known.add(joined.classes)
-                    fresh.append(joined.classes)
-                    if len(known) > cap:
-                        raise SearchCapError(
-                            f"more than {cap} congruences; search truncated"
-                        )
+        for base in frontier:
+            for pairs in principals:
+                # a join of congruences is their join as equivalences:
+                # merge the pairs with no generators to push them through
+                parent = list(base)
+                classes = _close(table, (), parent, known[base], list(pairs), floor)
+                if classes is None:
+                    continue
+                joined = _leaders(parent)
+                if joined not in known:
+                    hold(joined, classes)
+                    fresh.append(joined)
         frontier = fresh
-    result = [Partition(sg.size, classes) for classes in sorted(known)]
+    result = [_partition(leaders) for leaders in known]
     result.sort(key=lambda p: (-p.num_classes(), p.classes))
     return result
 
@@ -447,13 +521,17 @@ def _element_fingerprint(sg: FiniteSemigroup, i: int):
 
 
 def greedy_generators(sg: FiniteSemigroup) -> tuple[int, ...]:
-    """Small generating set: repeatedly adjoin the least missing element."""
+    """Small generating set: repeatedly adjoin the least missing element.
+
+    One closure grows as generators are adjoined, so each product is
+    formed once over the whole run.
+    """
     gens: list[int] = []
     closed: set[int] = set()
-    while len(closed) < sg.size:
-        nxt = min(x for x in sg.elements() if x not in closed)
-        gens.append(nxt)
-        closed = set(subsemigroup_closure(sg, gens))
+    for x in sg.elements():
+        if x not in closed:
+            gens.append(x)
+            _grow_closure(sg.table, closed, (x,))
     return tuple(gens)
 
 
@@ -571,6 +649,12 @@ def divides(
     closures of generator sets of size <= 3 are searched as well. Returns
     None when the bounded search exhausts without finding a witness;
     raises SearchCapError when a truncated search stayed inconclusive.
+
+    Candidates are the congruences with exactly |t| classes, tried in the
+    order of :func:`all_congruences`. The lattice search keeps only
+    congruences with at least |t| classes (the class-count floor of
+    ``_congruences_above``), so ``congruence_cap`` counts only those: a
+    search that would hit the cap over the whole lattice may finish.
     """
     if t.size > s.size:
         return None
@@ -594,7 +678,7 @@ def divides(
     for gens, elems in subs:
         sub = s if gens is None else subsemigroup_table(s, elems)
         try:
-            congruences = all_congruences(sub, cap=congruence_cap)
+            congruences = _congruences_above(sub, congruence_cap, t.size)
         except SearchCapError:
             truncated = True
             continue

@@ -24,11 +24,18 @@ BUILTIN_SYSTEM_NAMES = {
 }
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: Python's bool is an int, but true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(obj, field, where, types=None):
     if field not in obj:
         raise InputFormatError(where, field, "missing")
     value = obj[field]
-    if types is not None and not isinstance(value, types):
+    if types is not None and (
+        not isinstance(value, types) or isinstance(value, bool)
+    ):
         raise InputFormatError(
             where, field, f"expected {types}, got {type(value).__name__}"
         )
@@ -40,7 +47,7 @@ def _int_matrix(value, field, where):
         raise InputFormatError(where, field, "expected a list of lists")
     for r in value:
         for v in r:
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise InputFormatError(where, field, f"non-integer entry {v!r}")
     return value
 
@@ -114,7 +121,7 @@ def _pair_maps_from_dict(obj, field, n, where) -> dict:
             ) from None
         if not (0 <= a < n and 0 <= b < n):
             raise InputFormatError(where, f"{field}[{key}]", "pair out of range")
-        if not isinstance(seq, list) or not all(isinstance(v, int) for v in seq):
+        if not isinstance(seq, list) or not all(_is_int(v) for v in seq):
             raise InputFormatError(
                 where, f"{field}[{key}]", "expected a list of integers"
             )
@@ -130,7 +137,7 @@ def system_from_dict(obj, where="<memory>", base_dir=None) -> LrSystem:
     base = _resolve_base(_require(obj, "base", where), where, base_dir)
     sizes = _require(obj, "index_sizes", where, list)
     if len(sizes) != base.size or not all(
-        isinstance(k, int) and k >= 0 for k in sizes
+        _is_int(k) and k >= 0 for k in sizes
     ):
         raise InputFormatError(
             where, "index_sizes", "need one non-negative size per base element"
@@ -222,10 +229,9 @@ def transformation_from_dict(
 def partition_from_obj(obj, size, where="<memory>") -> Partition:
     if isinstance(obj, dict):
         obj = _require(obj, "classes", where, list)
-    if not isinstance(obj, list):
-        raise InputFormatError(where, "classes", "expected a list of lists")
+    classes = _int_matrix(obj, "classes", where)
     try:
-        return Partition.from_classes(size, [list(c) for c in obj])
+        return Partition.from_classes(size, classes)
     except LamrhoError as exc:
         raise InputFormatError(where, "classes", str(exc)) from exc
 

@@ -65,6 +65,35 @@ def test_validate_malformed_file_is_input_error(capsys, tmp_path):
     assert "input error" in err
 
 
+def test_json_booleans_are_input_errors(capsys):
+    # true == 1 in Python; JSON booleans must not pass as element indices
+    system = serialize.system_to_dict(builtin_system("flip_flop"))
+    sizes_doc = dict(system, index_sizes=[True, 2])
+    lambda_doc = dict(system, **{"lambda": dict(system["lambda"], **{"0,0": [True]})})
+    cases = [
+        (("validate", "--base", '{"size":2,"table":[[true,0],[0,1]]}'), "table"),
+        (("validate", "--base", '{"size":true,"table":[[0]]}'), "size"),
+        (("validate", "--system", json.dumps(sizes_doc)), "index_sizes"),
+        (("validate", "--system", json.dumps(lambda_doc)), "lambda[0,0]"),
+        (("quotient", "--base", "z2", "--partition", "[[0],[true]]"), "classes"),
+    ]
+    for argv, field in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and f"field '{field}'" in err
+
+
+def test_free_spec_must_be_an_object(capsys):
+    for spec, field in (
+        ("[1]", "<json>"),
+        ('{"shared_size": true}', "shared_size"),
+        ('{"shared_size": 2, "lambda": 5}', "lambda"),
+    ):
+        code, out, err = run(capsys, "free", "--system", spec)
+        assert code == 2, spec
+        assert out == "" and f"field '{field}'" in err
+
+
 def test_validate_action_law_failure_is_verification_error(capsys):
     # well-formed document whose action breaks the unit law
     doc = json.dumps(

@@ -282,3 +282,179 @@ def test_revalidation_of_constructions():
     q = quotient(flip, Partition.from_classes(6, [[0, 1], [2, 5], [3, 4]]))
     validate_table([list(r) for r in q.table])
     validate_table([list(r) for r in direct_product(Z2, Z3).table])
+
+
+# ---------------------------------------------------------------------------
+# The congruence engine against independent oracles
+
+
+def _set_partitions(n):
+    """Every partition of range(n), as restricted growth strings."""
+
+    def extend(prefix, blocks):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for b in range(blocks + 1):
+            yield from extend(prefix + [b], max(blocks, b + 1))
+
+    for labels in extend([], 0):
+        classes = {}
+        for x, b in enumerate(labels):
+            classes.setdefault(b, []).append(x)
+        yield Partition.from_classes(n, classes.values())
+
+
+def _small_semigroups():
+    """Every semigroup of the oracle pool: at most 6 elements."""
+    pool = list(CATALOG.values())
+    pairs = [sg for sg in CATALOG.values() if sg.size == 2]
+    pool += [direct_product(a, b) for a in pairs for b in pairs]
+    for name in ("left_zero", "non_semidirect", "flip_flop"):
+        prod = product_table(Z2, builtin_system(name))
+        pool.append(prod)
+        subs = {
+            subsemigroup_closure(prod, gens)
+            for k in range(1, prod.size + 1)
+            for gens in itertools.combinations(range(prod.size), k)
+        }
+        pool += [subsemigroup_table(prod, elems) for elems in sorted(subs)]
+    return pool
+
+
+def test_all_congruences_matches_brute_force():
+    for sg in _small_semigroups():
+        expected = sorted(
+            (p for p in _set_partitions(sg.size) if is_congruence(sg, p)),
+            key=lambda p: (-p.num_classes(), p.classes),
+        )
+        assert all_congruences(sg) == expected
+
+
+def test_greedy_generators_matches_closure_from_scratch():
+    from lamrho.semigroup import greedy_generators
+
+    for sg in _small_semigroups():
+        gens, closed = [], set()
+        while len(closed) < sg.size:
+            gens.append(min(set(sg.elements()) - closed))
+            closed = set(subsemigroup_closure(sg, gens))
+        assert greedy_generators(sg) == tuple(gens)
+
+
+def test_all_congruences_cap_counts_held_congruences():
+    from lamrho import SearchCapError
+
+    # Z2 has two congruences: the discrete one and one principal
+    with pytest.raises(SearchCapError):
+        all_congruences(Z2, cap=1)
+    assert len(all_congruences(Z2, cap=2)) == 2
+
+
+def _translation_fixpoint(sg, pairs):
+    """Least congruence by pushing identified pairs through all 2|S|
+    translations until nothing changes."""
+    label = list(sg.elements())
+
+    def merge(x, y):
+        old, new = label[y], label[x]
+        if old == new:
+            return False
+        for i, lab in enumerate(label):
+            if lab == old:
+                label[i] = new
+        return True
+
+    for a, b in pairs:
+        merge(a, b)
+    changed = True
+    while changed:
+        changed = False
+        for x, y in itertools.combinations(sg.elements(), 2):
+            if label[x] == label[y]:
+                for c in sg.elements():
+                    changed |= merge(sg.mul(x, c), sg.mul(y, c))
+                    changed |= merge(sg.mul(c, x), sg.mul(c, y))
+    classes = {}
+    for x, lab in enumerate(label):
+        classes.setdefault(lab, []).append(x)
+    return Partition.from_classes(sg.size, classes.values())
+
+
+_GENERATED_POOL = [
+    direct_product(a, b)
+    for a in CATALOG.values()
+    for b in CATALOG.values()
+    if a.size > 1 and b.size > 1
+] + [
+    product_table(Z3, builtin_system("flip_flop")),
+    direct_product(direct_product(Z2, L2), direct_product(R2, JOIN2)),
+    direct_product(L2_1, direct_product(Z2, L2)),
+]
+
+
+@given(
+    st.sampled_from(_GENERATED_POOL).flatmap(
+        lambda sg: st.tuples(
+            st.just(sg),
+            st.lists(
+                st.tuples(
+                    st.integers(0, sg.size - 1), st.integers(0, sg.size - 1)
+                ),
+                max_size=4,
+            ),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_generated_congruence_matches_translation_fixpoint(case):
+    sg, pairs = case
+    assert sg.size <= 16
+    assert congruence_generated_by(sg, pairs) == _translation_fixpoint(sg, pairs)
+
+
+def test_generated_congruence_on_a_long_merge_chain():
+    # in the null semigroup translations push nothing, so the pairs alone
+    # chain 1..7 into one class, one union at a time
+    null8 = FiniteSemigroup.from_rows([[0] * 8] * 8)
+    chain = [(x, x + 1) for x in range(6, 0, -1)]
+    expected = Partition.from_classes(8, [[0], range(1, 8)])
+    assert _translation_fixpoint(null8, chain) == expected
+    assert congruence_generated_by(null8, chain) == expected
+
+
+def _divides_over_full_lattice(t, s, quotient_only):
+    """The documented division search, run over every congruence."""
+    whole = tuple(s.elements())
+    subs = [(None, whole)]
+    if not quotient_only:
+        first_gens = {}
+        for k in (1, 2, 3):
+            for gens in itertools.combinations(whole, k):
+                closed = subsemigroup_closure(s, gens)
+                if closed != whole and len(closed) >= t.size:
+                    first_gens.setdefault(closed, gens)
+        subs += sorted(
+            ((gens, closed) for closed, gens in first_gens.items()),
+            key=lambda item: (len(item[1]), item[1]),
+        )
+    for gens, elems in subs:
+        sub = s if gens is None else subsemigroup_table(s, elems)
+        for part in all_congruences(sub):
+            if part.num_classes() == t.size:
+                iso = find_isomorphism(quotient(sub, part), t)
+                if iso is not None:
+                    return (gens, elems, part, iso.map)
+    return None
+
+
+def test_divides_witness_matches_full_lattice_search():
+    for name in ("left_zero", "non_semidirect", "flip_flop"):
+        s = product_table(Z2, builtin_system(name))
+        for t in CATALOG.values():
+            for quotient_only in (True, False):
+                w = divides(t, s, quotient_only=quotient_only)
+                got = None if w is None else (
+                    w.sub_generators, w.sub_elements, w.partition, w.iso.map
+                )
+                assert got == _divides_over_full_lattice(t, s, quotient_only)
