@@ -30,7 +30,7 @@ from .errors import (
 )
 from .product import DEFAULT_UNIVERSE_CAP, ProductElement, product_table, universe
 from .semigroup import FiniteSemigroup, Homomorphism, subsemigroup_table
-from .system import LrSystem, validate_axioms
+from .system import LrSystem, _axiom_walk, validate_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,39 @@ def identity_transformation(system: LrSystem) -> Transformation:
     )
 
 
+def _square_walk(elements, mul, h, source, target, maps, out, first_only):
+    """Append ``(kind, a, b, point)`` to ``out`` for every failing point.
+
+    Pairs (a,b) of target base elements run in lexicographic order of
+    ``elements``, then points, then the lambda square before the rho
+    square. ``mul`` returns None for a product outside the target, and
+    such pairs are skipped. Returns the number of in-range pairs checked.
+    """
+    checked = 0
+    for a in elements:
+        for b in elements:
+            ab = mul(a, b)
+            if ab is None:
+                continue
+            checked += 1
+            ha, hb = h(a), h(b)
+            lam_src = source.lam_map(ha, hb)
+            rho_src = source.rho_map(ha, hb)
+            lam_tgt = target.lam_map(a, b)
+            rho_tgt = target.rho_map(a, b)
+            t_ab, t_a, t_b = maps[ab], maps[a], maps[b]
+            for p in range(source.fiber_size(source.base.mul(ha, hb))):
+                if lam_tgt[t_ab[p]] != t_a[lam_src[p]]:
+                    out.append(("lambda", a, b, p))
+                    if first_only:
+                        return checked
+                if rho_tgt[t_ab[p]] != t_b[rho_src[p]]:
+                    out.append(("rho", a, b, p))
+                    if first_only:
+                        return checked
+    return checked
+
+
 def validate_transformation(tr):
     """Check both commuting squares at every pair and index point.
 
@@ -123,44 +156,24 @@ def validate_transformation(tr):
     otherwise.
     """
     if isinstance(tr, FreeTransformation):
-        report = tr.square_report()
-        if not report.ok:
-            kind, w, u, p = report.violations[0]
-            raise SquareViolationError(
-                f"{kind} square fails at words ({w},{u}), point {p}",
-                kind=kind,
-                a=w,
-                b=u,
-                point=p,
-            )
-        return tr
-    src, tgt, h = tr.source, tr.target, tr.h
-    for a in tgt.base.elements():
-        for b in tgt.base.elements():
-            ab = tgt.base.mul(a, b)
-            ha, hb = h(a), h(b)
-            lam_src = src.lam_map(ha, hb)
-            rho_src = src.rho_map(ha, hb)
-            lam_tgt = tgt.lam_map(a, b)
-            rho_tgt = tgt.rho_map(a, b)
-            t_ab, t_a, t_b = tr.maps[ab], tr.maps[a], tr.maps[b]
-            for p in range(src.index_sizes[src.base.mul(ha, hb)]):
-                if lam_tgt[t_ab[p]] != t_a[lam_src[p]]:
-                    raise SquareViolationError(
-                        f"lambda square fails at ({a},{b}), point {p}",
-                        kind="lambda",
-                        a=a,
-                        b=b,
-                        point=p,
-                    )
-                if rho_tgt[t_ab[p]] != t_b[rho_src[p]]:
-                    raise SquareViolationError(
-                        f"rho square fails at ({a},{b}), point {p}",
-                        kind="rho",
-                        a=a,
-                        b=b,
-                        point=p,
-                    )
+        found = tr.square_report().violations
+        where = "words "
+    else:
+        found = []
+        base = tr.target.base
+        _square_walk(
+            base.elements(), base.mul, tr.h, tr.source, tr.target, tr.maps, found, True
+        )
+        where = ""
+    if found:
+        kind, a, b, p = found[0]
+        raise SquareViolationError(
+            f"{kind} square fails at {where}({a},{b}), point {p}",
+            kind=kind,
+            a=a,
+            b=b,
+            point=p,
+        )
     return tr
 
 
@@ -398,33 +411,7 @@ class TruncatedFreeSystem:
     def check_axioms(self) -> FreeAxiomReport:
         """All axiom instances whose triple concatenation stays in bound."""
         violations = []
-        instances = 0
-        for a in self.words:
-            for b in self.words:
-                ab = self.mul(a, b)
-                if ab is None:
-                    continue
-                lam_ab = self.lam_map(a, b)
-                rho_ab = self.rho_map(a, b)
-                for c in self.words:
-                    abc = self.mul(ab, c)
-                    if abc is None:
-                        continue
-                    bc = b + c
-                    instances += 1
-                    lam_ab_c = self.lam_map(ab, c)
-                    rho_a_bc = self.rho_map(a, bc)
-                    lam_a_bc = self.lam_map(a, bc)
-                    rho_b_c = self.rho_map(b, c)
-                    lam_b_c = self.lam_map(b, c)
-                    rho_ab_c = self.rho_map(ab, c)
-                    for p in range(self.fiber_size(abc)):
-                        if lam_ab[lam_ab_c[p]] != lam_a_bc[p]:
-                            violations.append(("alpha", a, b, c, p))
-                        if rho_b_c[rho_a_bc[p]] != rho_ab_c[p]:
-                            violations.append(("beta", a, b, c, p))
-                        if rho_ab[lam_ab_c[p]] != lam_b_c[rho_a_bc[p]]:
-                            violations.append(("gamma", a, b, c, p))
+        instances = _axiom_walk(self, self.words, self.mul, violations, False)
         return FreeAxiomReport(instances, tuple(violations))
 
     def unital_on_truncated(self) -> bool:
@@ -470,6 +457,18 @@ def word_product(base: FiniteSemigroup, word: Word) -> int:
     return reduce(base.mul, word)
 
 
+def _prefix_suffix(base: FiniteSemigroup, word: Word) -> tuple[list, list]:
+    """prefix[j] is the product of word[0..j], suffix[j] that of word[j..]."""
+    prefix = [word[0]]
+    for s in word[1:]:
+        prefix.append(base.mul(prefix[-1], s))
+    suffix = [word[-1]]
+    for s in reversed(word[:-1]):
+        suffix.append(base.mul(s, suffix[-1]))
+    suffix.reverse()
+    return prefix, suffix
+
+
 def canonical_components(system: LrSystem, word: Word, z: int) -> tuple[int, ...]:
     """Value of the canonical map at index point z of the evaluated word.
 
@@ -480,16 +479,7 @@ def canonical_components(system: LrSystem, word: Word, z: int) -> tuple[int, ...
     n = len(word)
     if n == 1:
         return (z,)
-    base = system.base
-    prefix = [word[0]]
-    for s in word[1:]:
-        prefix.append(base.mul(prefix[-1], s))
-    # prefix[j] = product of word[0..j]
-    suffix = [word[-1]]
-    for s in reversed(word[:-1]):
-        suffix.append(base.mul(s, suffix[-1]))
-    suffix.reverse()
-    # suffix[j] = product of word[j..n-1]
+    prefix, suffix = _prefix_suffix(system.base, word)
     comps = [system.lam_map(word[0], suffix[1])[z]]
     for j in range(1, n - 1):
         inner = system.lam_map(prefix[j], suffix[j + 1])[z]
@@ -504,14 +494,7 @@ def canonical_component_alt(system: LrSystem, word: Word, j: int, z: int) -> int
     n = len(word)
     if not 1 <= j <= n - 2:
         raise ValueError("alternative formula applies to middle components")
-    base = system.base
-    prefix = [word[0]]
-    for s in word[1:]:
-        prefix.append(base.mul(prefix[-1], s))
-    suffix = [word[-1]]
-    for s in reversed(word[:-1]):
-        suffix.append(base.mul(s, suffix[-1]))
-    suffix.reverse()
+    prefix, suffix = _prefix_suffix(system.base, word)
     inner = system.rho_map(prefix[j - 1], suffix[j])[z]
     return system.lam_map(word[j], suffix[j + 1])[inner]
 
@@ -546,7 +529,6 @@ class FreeTransformation:
 
     def square_report(self) -> FreeSquareReport:
         violations = []
-        pairs = 0
         middle = 0
         src = self.source
         for w in self.free.words:
@@ -559,23 +541,10 @@ class FreeTransformation:
                     middle += 1
                     if comps[j] != canonical_component_alt(src, w, j, z):
                         violations.append(("middle", w, j, z))
-        for w in self.free.words:
-            for u in self.free.words:
-                wu = self.free.mul(w, u)
-                if wu is None:
-                    continue
-                pairs += 1
-                ow, ou = self.base_image(w), self.base_image(u)
-                lam_src = src.lam_map(ow, ou)
-                rho_src = src.rho_map(ow, ou)
-                lam_free = self.free.lam_map(w, u)
-                rho_free = self.free.rho_map(w, u)
-                t_wu, t_w, t_u = self.maps[wu], self.maps[w], self.maps[u]
-                for p in range(src.index_sizes[src.base.mul(ow, ou)]):
-                    if lam_free[t_wu[p]] != t_w[lam_src[p]]:
-                        violations.append(("lambda", w, u, p))
-                    if rho_free[t_wu[p]] != t_u[rho_src[p]]:
-                        violations.append(("rho", w, u, p))
+        pairs = _square_walk(
+            self.free.words, self.free.mul, self.base_image, src, self.free,
+            self.maps, violations, False,
+        )
         return FreeSquareReport(pairs, middle, tuple(violations))
 
 

@@ -19,6 +19,7 @@ from .category import free_monoid_system, free_semigroup_system
 from .errors import (
     InputFormatError,
     LamrhoError,
+    MapRangeError,
     NotACongruenceError,
     SearchCapError,
 )
@@ -411,7 +412,7 @@ def main(argv=None) -> int:
         args.cap = 10**6
     try:
         return _HANDLERS[args.command](args)
-    except InputFormatError as exc:
+    except (InputFormatError, MapRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NotACongruenceError as exc:

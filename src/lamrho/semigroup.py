@@ -29,6 +29,12 @@ DEFAULT_ISO_CAP = 32
 DEFAULT_CONGRUENCE_CAP = 20000
 
 
+def _is_int(value) -> bool:
+    """An exact int: bool is an int subclass, but True and False name no
+    element."""
+    return type(value) is int
+
+
 @dataclass(frozen=True)
 class FiniteSemigroup:
     """A finite semigroup on elements 0..size-1.
@@ -55,7 +61,8 @@ class FiniteSemigroup:
                     f"row {i} has length {len(row)}, expected {self.size}"
                 )
             for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < self.size:
+                # _is_int, inlined: this runs once per table entry
+                if type(v) is not int or not 0 <= v < self.size:
                     raise OutOfRangeEntryError(
                         f"entry ({i},{j}) = {v!r} is not an element index"
                     )

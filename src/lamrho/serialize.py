@@ -14,7 +14,7 @@ import os
 from .actions import RightAction, TwoSidedAction
 from .errors import InputFormatError, LamrhoError
 from .category import Transformation
-from .semigroup import CATALOG, FiniteSemigroup, Partition
+from .semigroup import CATALOG, FiniteSemigroup, Partition, _is_int
 from .system import LrSystem
 
 BUILTIN_SYSTEM_NAMES = {
@@ -22,11 +22,6 @@ BUILTIN_SYSTEM_NAMES = {
     "lzero_system": "left_zero",
     "nonsemidirect_system": "non_semidirect",
 }
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: Python's bool is an int, but true and false are not."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require(obj, field, where, types=None):

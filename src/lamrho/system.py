@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator
 
 from .errors import AxiomViolationError, IdealViolationError, MapRangeError
@@ -118,38 +120,56 @@ class AxiomViolation:
         )
 
 
+def _axiom_walk(system, elements, mul, out, first_only):
+    """Append ``(axiom, a, b, c, point)`` to ``out`` for every failing point.
+
+    Triples run in lexicographic order of ``elements``, then points, then
+    alpha, beta, gamma. ``mul`` returns None for a product outside the
+    system, and triples whose product ``abc`` falls outside are skipped.
+    Returns the number of in-range triples checked.
+    """
+    lam_map, rho_map, fiber_size = system.lam_map, system.rho_map, system.fiber_size
+    checked = 0
+    for a in elements:
+        for b in elements:
+            ab = mul(a, b)
+            if ab is None:
+                continue
+            lam_ab = lam_map(a, b)
+            rho_ab = rho_map(a, b)
+            for c in elements:
+                abc = mul(ab, c)
+                if abc is None:
+                    continue
+                bc = mul(b, c)
+                checked += 1
+                lam_ab_c = lam_map(ab, c)
+                rho_a_bc = rho_map(a, bc)
+                lam_a_bc = lam_map(a, bc)
+                rho_b_c = rho_map(b, c)
+                lam_b_c = lam_map(b, c)
+                rho_ab_c = rho_map(ab, c)
+                for p in range(fiber_size(abc)):
+                    if lam_ab[lam_ab_c[p]] != lam_a_bc[p]:
+                        out.append(("alpha", a, b, c, p))
+                        if first_only:
+                            return checked
+                    if rho_b_c[rho_a_bc[p]] != rho_ab_c[p]:
+                        out.append(("beta", a, b, c, p))
+                        if first_only:
+                            return checked
+                    if rho_ab[lam_ab_c[p]] != lam_b_c[rho_a_bc[p]]:
+                        out.append(("gamma", a, b, c, p))
+                        if first_only:
+                            return checked
+    return checked
+
+
 def axiom_violations(system: LrSystem, first_only: bool = False):
     """All composition-axiom failures (or just the first, if asked)."""
-    sg = system.base
-    out = []
-    for a in sg.elements():
-        for b in sg.elements():
-            ab = sg.mul(a, b)
-            lam_ab = system.lam_map(a, b)
-            rho_ab = system.rho_map(a, b)
-            for c in sg.elements():
-                bc = sg.mul(b, c)
-                abc = sg.mul(ab, c)
-                lam_ab_c = system.lam_map(ab, c)
-                rho_a_bc = system.rho_map(a, bc)
-                lam_a_bc = system.lam_map(a, bc)
-                rho_b_c = system.rho_map(b, c)
-                lam_b_c = system.lam_map(b, c)
-                rho_ab_c = system.rho_map(ab, c)
-                for p in range(system.index_sizes[abc]):
-                    if lam_ab[lam_ab_c[p]] != lam_a_bc[p]:
-                        out.append(AxiomViolation("alpha", a, b, c, p))
-                        if first_only:
-                            return out
-                    if rho_b_c[rho_a_bc[p]] != rho_ab_c[p]:
-                        out.append(AxiomViolation("beta", a, b, c, p))
-                        if first_only:
-                            return out
-                    if rho_ab[lam_ab_c[p]] != lam_b_c[rho_a_bc[p]]:
-                        out.append(AxiomViolation("gamma", a, b, c, p))
-                        if first_only:
-                            return out
-    return out
+    found = []
+    _axiom_walk(system, system.base.elements(), system.base.mul, found, first_only)
+    return [AxiomViolation(*v) for v in found]
 
 
 def validate_axioms(system: LrSystem) -> LrSystem:
@@ -275,58 +295,75 @@ def _build_slots(base, sizes, unital_only):
     return slots
 
 
+def _candidates(slot, rng):
+    """Every map I[ab] -> I[x] of one slot, as a function giving a fresh
+    iterator on each visit.
+
+    Exhaustive mode walks ``itertools.product``. Seeded mode keeps one
+    8-byte code per map, shuffled once; the base-``codomain`` digits of a
+    code, most significant first, are the map's values, so the shuffle
+    permutes exactly the lexicographic list of maps.
+    """
+    codomain, domain = slot.codomain, slot.domain
+    if slot.pinned is not None:
+        return lambda: (slot.pinned,)
+    if rng is None:
+        return lambda: itertools.product(range(codomain), repeat=domain)
+    codes = array("q", range(codomain**domain))
+    if len(codes) > 1:
+        rng.shuffle(codes)
+
+    def decode(code):
+        values = [0] * domain
+        for i in range(domain - 1, -1, -1):
+            code, values[i] = divmod(code, codomain)
+        return tuple(values)
+
+    return lambda: map(decode, codes)
+
+
 def _instances(base, sizes, slot_pos):
-    """Axiom instances grouped by the last slot they depend on."""
-    n = base.size
-    by_last = [[] for _ in range(2 * n * n)]
-    for a in range(n):
-        for b in range(n):
-            ab = base.mul(a, b)
-            for c in range(n):
-                bc = base.mul(b, c)
-                abc = base.mul(ab, c)
-                if sizes[abc] == 0:
-                    continue
-                alpha = ("alpha", a, b, c, (
-                    slot_pos["lam", a, b],
-                    slot_pos["lam", ab, c],
-                    slot_pos["lam", a, bc],
-                ))
-                beta = ("beta", a, b, c, (
-                    slot_pos["rho", b, c],
-                    slot_pos["rho", a, bc],
-                    slot_pos["rho", ab, c],
-                ))
-                gamma = ("gamma", a, b, c, (
-                    slot_pos["rho", a, b],
-                    slot_pos["lam", ab, c],
-                    slot_pos["lam", b, c],
-                    slot_pos["rho", a, bc],
-                ))
-                for inst in (alpha, beta, gamma):
-                    by_last[max(inst[4])].append(inst)
+    """Axiom instances ``(axiom, |I[abc]|, slot positions)`` grouped by the
+    last slot they depend on."""
+    # One-point fibers (none where sizes is 0) under maps that break all
+    # three axioms at that point: the walk lists alpha, beta and gamma of
+    # every triple whose instances have a nonempty domain.
+    probe = SimpleNamespace(
+        lam_map=lambda a, b: (1, 2, 3),
+        rho_map=lambda a, b: (1, 3, 0),
+        fiber_size=lambda s: min(sizes[s], 1),
+    )
+    found = []
+    _axiom_walk(probe, base.elements(), base.mul, found, False)
+    by_last = [[] for _ in slot_pos]
+    for _, a, b, c, _ in found[::3]:
+        ab, bc = base.mul(a, b), base.mul(b, c)
+        size = sizes[base.mul(ab, c)]
+        for axiom, maps in (
+            ("alpha", (("lam", a, b), ("lam", ab, c), ("lam", a, bc))),
+            ("beta", (("rho", b, c), ("rho", a, bc), ("rho", ab, c))),
+            ("gamma", (("rho", a, b), ("lam", ab, c), ("lam", b, c), ("rho", a, bc))),
+        ):
+            deps = tuple(slot_pos[m] for m in maps)
+            by_last[max(deps)].append((axiom, size, deps))
     return by_last
 
 
-def _instance_holds(inst, assign, sizes, base):
-    kind, a, b, c, deps = inst
-    ab = base.mul(a, b)
-    bc = base.mul(b, c)
-    abc = base.mul(ab, c)
-    if kind == "alpha":
-        lam_ab, lam_ab_c, lam_a_bc = (assign[d] for d in deps)
-        return all(
-            lam_ab[lam_ab_c[p]] == lam_a_bc[p] for p in range(sizes[abc])
-        )
-    if kind == "beta":
-        rho_b_c, rho_a_bc, rho_ab_c = (assign[d] for d in deps)
-        return all(
-            rho_b_c[rho_a_bc[p]] == rho_ab_c[p] for p in range(sizes[abc])
-        )
-    rho_ab, lam_ab_c, lam_b_c, rho_a_bc = (assign[d] for d in deps)
-    return all(
-        rho_ab[lam_ab_c[p]] == lam_b_c[rho_a_bc[p]] for p in range(sizes[abc])
-    )
+def _instance_holds(inst, assign):
+    """alpha and beta read first o second == third, gamma reads
+    first o second == third o fourth, over the slots in ``deps``."""
+    axiom, size, deps = inst
+    first, second, third = assign[deps[0]], assign[deps[1]], assign[deps[2]]
+    if axiom == "gamma":
+        fourth = assign[deps[3]]
+        for p in range(size):
+            if first[second[p]] != third[fourth[p]]:
+                return False
+        return True
+    for p in range(size):
+        if first[second[p]] != third[p]:
+            return False
+    return True
 
 
 def enumerate_systems(
@@ -349,6 +386,8 @@ def enumerate_systems(
     sizes = tuple(index_sizes)
     if len(sizes) != base.size:
         raise MapRangeError("need one index size per base element")
+    if any(k < 0 for k in sizes):
+        raise MapRangeError("index sizes must be non-negative")
     slots = _build_slots(base, sizes, unital_only)
     if slots is None:
         return
@@ -365,21 +404,7 @@ def enumerate_systems(
         slot_pos[slot.kind, slot.a, slot.b] = pos
     checks_at = _instances(base, sizes, slot_pos)
 
-    candidate_lists = []
-    for slot in slots:
-        if slot.pinned is not None:
-            cands = [slot.pinned]
-        elif slot.domain == 0:
-            cands = [()]
-        elif slot.codomain == 0:
-            cands = []
-        else:
-            cands = [
-                t for t in itertools.product(range(slot.codomain), repeat=slot.domain)
-            ]
-        if rng is not None and len(cands) > 1:
-            rng.shuffle(cands)
-        candidate_lists.append(cands)
+    candidates = [_candidates(slot, rng) for slot in slots]
 
     assign: list = [None] * len(slots)
     yielded = 0
@@ -396,12 +421,9 @@ def enumerate_systems(
             yielded += 1
             yield system
             return
-        for cand in candidate_lists[k]:
+        for cand in candidates[k]():
             assign[k] = cand
-            if all(
-                _instance_holds(inst, assign, sizes, base)
-                for inst in checks_at[k]
-            ):
+            if all(_instance_holds(inst, assign) for inst in checks_at[k]):
                 yield from dfs(k + 1)
                 if limit is not None and yielded >= limit:
                     break

@@ -1,0 +1,296 @@
+"""Parity of the shared axiom and square checkers with hand-written loops.
+
+The references below write each check out by hand for one kind of
+structure: a triple loop for the composition axioms of concrete and of
+truncated free systems, and a pair loop for the commuting squares of
+concrete and of free arrows. Each test drives the shared checker and its
+reference over the same inputs, broken ones included, and asks for the
+same violations in the same order.
+"""
+
+import itertools
+import random
+import tracemalloc
+
+import pytest
+
+from lamrho import (
+    CATALOG,
+    TRIVIAL,
+    LrSystem,
+    SquareViolationError,
+    Transformation,
+    axiom_violations,
+    builtin_system,
+    canonical_transformation,
+    enumerate_systems,
+    free_monoid_system,
+    free_semigroup_system,
+    identity_transformation,
+    restrict,
+    validate_transformation,
+)
+from lamrho.category import FreeTransformation, TruncatedFreeSystem
+
+BUILTIN = ("flip_flop", "left_zero", "non_semidirect", "boolean_shadow")
+
+
+def reference_axiom_violations(system, first_only=False):
+    sg = system.base
+    out = []
+    for a in sg.elements():
+        for b in sg.elements():
+            ab = sg.mul(a, b)
+            lam_ab = system.lam_map(a, b)
+            rho_ab = system.rho_map(a, b)
+            for c in sg.elements():
+                bc = sg.mul(b, c)
+                abc = sg.mul(ab, c)
+                lam_ab_c = system.lam_map(ab, c)
+                rho_a_bc = system.rho_map(a, bc)
+                lam_a_bc = system.lam_map(a, bc)
+                rho_b_c = system.rho_map(b, c)
+                lam_b_c = system.lam_map(b, c)
+                rho_ab_c = system.rho_map(ab, c)
+                for p in range(system.index_sizes[abc]):
+                    if lam_ab[lam_ab_c[p]] != lam_a_bc[p]:
+                        out.append(("alpha", a, b, c, p))
+                        if first_only:
+                            return out
+                    if rho_b_c[rho_a_bc[p]] != rho_ab_c[p]:
+                        out.append(("beta", a, b, c, p))
+                        if first_only:
+                            return out
+                    if rho_ab[lam_ab_c[p]] != lam_b_c[rho_a_bc[p]]:
+                        out.append(("gamma", a, b, c, p))
+                        if first_only:
+                            return out
+    return out
+
+
+def reference_free_check(free):
+    violations = []
+    instances = 0
+    for a in free.words:
+        for b in free.words:
+            ab = free.mul(a, b)
+            if ab is None:
+                continue
+            lam_ab = free.lam_map(a, b)
+            rho_ab = free.rho_map(a, b)
+            for c in free.words:
+                abc = free.mul(ab, c)
+                if abc is None:
+                    continue
+                bc = b + c
+                instances += 1
+                lam_ab_c = free.lam_map(ab, c)
+                rho_a_bc = free.rho_map(a, bc)
+                lam_a_bc = free.lam_map(a, bc)
+                rho_b_c = free.rho_map(b, c)
+                lam_b_c = free.lam_map(b, c)
+                rho_ab_c = free.rho_map(ab, c)
+                for p in range(free.fiber_size(abc)):
+                    if lam_ab[lam_ab_c[p]] != lam_a_bc[p]:
+                        violations.append(("alpha", a, b, c, p))
+                    if rho_b_c[rho_a_bc[p]] != rho_ab_c[p]:
+                        violations.append(("beta", a, b, c, p))
+                    if rho_ab[lam_ab_c[p]] != lam_b_c[rho_a_bc[p]]:
+                        violations.append(("gamma", a, b, c, p))
+    return instances, tuple(violations)
+
+
+def reference_first_square(tr):
+    src, tgt, h = tr.source, tr.target, tr.h
+    for a in tgt.base.elements():
+        for b in tgt.base.elements():
+            ab = tgt.base.mul(a, b)
+            ha, hb = h(a), h(b)
+            for p in range(src.index_sizes[src.base.mul(ha, hb)]):
+                if tgt.lam_map(a, b)[tr.maps[ab][p]] != tr.maps[a][src.lam_map(ha, hb)[p]]:
+                    return ("lambda", a, b, p)
+                if tgt.rho_map(a, b)[tr.maps[ab][p]] != tr.maps[b][src.rho_map(ha, hb)[p]]:
+                    return ("rho", a, b, p)
+    return None
+
+
+def reference_free_squares(tr):
+    src, free = tr.source, tr.free
+    violations = []
+    pairs = 0
+    for w in free.words:
+        for u in free.words:
+            wu = free.mul(w, u)
+            if wu is None:
+                continue
+            pairs += 1
+            ow, ou = tr.base_image(w), tr.base_image(u)
+            for p in range(src.index_sizes[src.base.mul(ow, ou)]):
+                if free.lam_map(w, u)[tr.maps[wu][p]] != tr.maps[w][src.lam_map(ow, ou)[p]]:
+                    violations.append(("lambda", w, u, p))
+                if free.rho_map(w, u)[tr.maps[wu][p]] != tr.maps[u][src.rho_map(ow, ou)[p]]:
+                    violations.append(("rho", w, u, p))
+    return pairs, violations
+
+
+def single_entry_changes(maps, codomain):
+    """Every tuple family that differs from ``maps`` in one entry."""
+    for i, m in enumerate(maps):
+        for p, v in enumerate(m):
+            for w in range(codomain(i)):
+                if w != v:
+                    changed = m[:p] + (w,) + m[p + 1:]
+                    yield maps[:i] + (changed,) + maps[i + 1:]
+
+
+def perturbations(system):
+    n = system.base.size
+    sizes = system.index_sizes
+    for lam in single_entry_changes(system.lam, lambda i: sizes[i // n]):
+        yield LrSystem(system.base, sizes, lam, system.rho)
+    for rho in single_entry_changes(system.rho, lambda i: sizes[i % n]):
+        yield LrSystem(system.base, sizes, system.lam, rho)
+
+
+def as_tuples(violations):
+    return [(v.axiom, v.a, v.b, v.c, v.point) for v in violations]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_axiom_violations_match_reference(name):
+    # every system with fibers <= 2 over the base, and every system one
+    # entry away from one of them
+    base = CATALOG[name]
+    seen = set()
+    broken = 0
+    for sizes in itertools.product(range(3), repeat=base.size):
+        for system in enumerate_systems(base, sizes):
+            for candidate in itertools.chain((system,), perturbations(system)):
+                key = (candidate.index_sizes, candidate.lam, candidate.rho)
+                if key in seen:
+                    continue
+                seen.add(key)
+                expected = reference_axiom_violations(candidate)
+                assert as_tuples(axiom_violations(candidate)) == expected
+                assert as_tuples(axiom_violations(candidate, first_only=True)) == expected[:1]
+                broken += bool(expected)
+    assert broken > 0
+
+
+class BrokenRho(TruncatedFreeSystem):
+    """A free system whose rho map at one word pair is off by one point."""
+
+    broken_pair = ((0,), (1,))
+
+    def rho_map(self, w, u):
+        m = super().rho_map(w, u)
+        if (w, u) == self.broken_pair:
+            return (m[0] + 1) % self.fiber_size(u), *m[1:]
+        return m
+
+
+@pytest.mark.parametrize(
+    "free",
+    [
+        free_semigroup_system((1, 2), 4),
+        free_semigroup_system((2, 1, 2), 3),
+        free_monoid_system(2, [[0, 1], [1]], [[0, 1], [0]], 3),
+        free_monoid_system(3, [[0, 2], [1]], [[2, 1], [0]], 3),
+        BrokenRho((2, 2), 3),
+        BrokenRho((2, 3), 4),
+    ],
+)
+def test_free_check_axioms_matches_reference(free):
+    instances, violations = reference_free_check(free)
+    report = free.check_axioms()
+    assert (report.instances, report.violations) == (instances, violations)
+    assert report.ok != isinstance(free, BrokenRho)
+
+
+def test_first_square_violation_matches_reference():
+    # identity arrows on the built-in systems, and the restrictions of the
+    # flip-flop system to its two elements (a base map that is not onto)
+    flip = builtin_system("flip_flop")
+    arrows = [identity_transformation(builtin_system(name)) for name in BUILTIN]
+    arrows += [restrict(flip, subset)[1] for subset in ((0,), (1,))]
+    broken = 0
+    for tr in arrows:
+        assert reference_first_square(tr) is None
+        validate_transformation(tr)
+        sizes = tr.target.index_sizes
+        for maps in single_entry_changes(tr.maps, lambda a: sizes[a]):
+            bad = Transformation(tr.source, tr.target, tr.h, maps)
+            expected = reference_first_square(bad)
+            if expected is None:
+                validate_transformation(bad)
+                continue
+            broken += 1
+            with pytest.raises(SquareViolationError) as info:
+                validate_transformation(bad)
+            err = info.value
+            assert (err.kind, err.a, err.b, err.point) == expected
+    assert broken > 0
+
+
+@pytest.mark.parametrize("name", ["flip_flop", "left_zero", "non_semidirect"])
+def test_free_square_report_matches_reference(name):
+    canon = canonical_transformation(builtin_system(name), bound=3)
+    pairs, expected = reference_free_squares(canon)
+    report = canon.square_report()
+    assert report.pairs_checked == pairs and not expected and report.ok
+    free = canon.free
+    for w in free.words:
+        k = free.fiber_size(w)
+        if k < 2:
+            continue
+        for p, v in enumerate(canon.maps[w]):
+            maps = dict(canon.maps)
+            maps[w] = maps[w][:p] + ((v + 1) % k,) + maps[w][p + 1:]
+            bad = FreeTransformation(canon.source, free, maps)
+            pairs, expected = reference_free_squares(bad)
+            report = bad.square_report()
+            assert report.pairs_checked == pairs
+            # the middle components do not read the maps, so only squares fail
+            assert expected and list(report.violations) == expected
+            with pytest.raises(SquareViolationError) as info:
+                validate_transformation(bad)
+            first = report.violations[0]
+            assert (info.value.kind, info.value.a, info.value.b, info.value.point) == first
+
+
+def eager_trivial_stream(k, seed, limit):
+    """Seeded enumeration over the trivial base with materialised maps:
+    both candidate lists are built in full, then shuffled."""
+    rng = random.Random(seed)
+    lams = list(itertools.product(range(k), repeat=k))
+    rng.shuffle(lams)
+    rhos = list(itertools.product(range(k), repeat=k))
+    rng.shuffle(rhos)
+    out = []
+    for lam in lams:
+        if any(lam[lam[p]] != lam[p] for p in range(k)):
+            continue
+        for rho in rhos:
+            if all(rho[rho[p]] == rho[p] and rho[lam[p]] == lam[rho[p]] for p in range(k)):
+                out.append((lam, rho))
+                if len(out) == limit:
+                    return out
+    return out
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_seeded_stream_equals_eager_reference(k, seed):
+    stream = enumerate_systems(TRIVIAL, (k,), limit=6, seed=seed)
+    assert [(s.lam[0], s.rho[0]) for s in stream] == eager_trivial_stream(k, seed, 6)
+
+
+def test_seeded_enumeration_stores_codes_not_tuples():
+    # the eager candidate lists for this call take about 9 MB
+    tracemalloc.start()
+    try:
+        next(enumerate_systems(TRIVIAL, (6,), limit=1, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20

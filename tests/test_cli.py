@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lamrho import serialize
 from lamrho.cli import main
 from lamrho import Z2, builtin_system, product_table
@@ -243,3 +245,20 @@ def test_out_writes_reloadable_artifact(capsys, tmp_path):
     assert code == 0
     reloaded = serialize.load_semigroup(str(out_path))
     assert reloaded == product_table(Z2, builtin_system("flip_flop"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("free", "--sizes", "1,2", "--bound", "0"),
+        ("free", "--sizes", "1,-1"),
+        ("free", "--system", '{"shared_size": 2, "lambda": [[0, 5]], "rho": [[0, 1]]}'),
+        ("enumerate", "--base", "z2", "--sizes", "1"),
+        ("enumerate", "--base", "z2", "--sizes", "1,-1"),
+    ],
+)
+def test_malformed_maps_sizes_and_bounds_are_input_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:") and "Traceback" not in err

@@ -67,6 +67,16 @@ def test_validate_rejects_out_of_range():
         validate_table([[0, 2], [1, 0]])
 
 
+def test_validate_rejects_boolean_entries():
+    # True == 1 in Python, but a bool names no element
+    from lamrho import OutOfRangeEntryError
+
+    with pytest.raises(OutOfRangeEntryError):
+        validate_table([[True, 0], [0, 1]])
+    with pytest.raises(OutOfRangeEntryError):
+        FiniteSemigroup.from_rows([[0, False], [1, 1]])
+
+
 def test_identity_element():
     assert identity_element(Z2) == 0
     assert identity_element(L2) is None

@@ -181,3 +181,8 @@ def test_enumeration_beyond_exhaustive_caps_uses_seeded_search():
     assert first == [singleton_system(klein)]
     for s in first:
         validate_axioms(s)
+
+
+def test_enumeration_rejects_negative_sizes():
+    with pytest.raises(MapRangeError):
+        list(enumerate_systems(Z2, [1, -1]))
