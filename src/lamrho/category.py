@@ -28,7 +28,7 @@ from .errors import (
     SizeCapError,
     SquareViolationError,
 )
-from .product import DEFAULT_UNIVERSE_CAP, ProductElement, product_table, universe
+from .product import DEFAULT_UNIVERSE_CAP, _encoder, product_table, universe
 from .semigroup import FiniteSemigroup, Homomorphism, subsemigroup_table
 from .system import LrSystem, _axiom_walk, validate_axioms
 
@@ -257,13 +257,11 @@ def induced_hom(
     arrow: (x, a) |-> (x o t[a], h(a)). Contravariant in the arrow."""
     domain = product_table(h_sg, tr.target, cap=cap)
     codomain = product_table(h_sg, tr.source, cap=cap)
-    src_elems = universe(h_sg, tr.source, cap=cap)
-    src_index = {e: i for i, e in enumerate(src_elems)}
+    encode = _encoder(h_sg, tr.source)
     mapping = []
     for p in universe(h_sg, tr.target, cap=cap):
         a = p.anchor
-        values = tuple(p.values[v] for v in tr.maps[a])
-        mapping.append(src_index[ProductElement(tr.h(a), values)])
+        mapping.append(encode(tr.h(a), tuple(p.values[v] for v in tr.maps[a])))
     return Homomorphism(domain, codomain, tuple(mapping))
 
 
@@ -602,8 +600,7 @@ def induced_free_hom(
     system = tr.source
     free = tr.free
     target = product_table(h_sg, system, cap=cap)
-    src_elems = universe(h_sg, system, cap=cap)
-    src_index = {e: i for i, e in enumerate(src_elems)}
+    encode = _encoder(h_sg, system)
 
     domain_size = sum(h_sg.size ** free.fiber_size(w) for w in free.words)
     if domain_size > cap:
@@ -612,8 +609,7 @@ def induced_free_hom(
         )
 
     def image_index(x: tuple, w: Word) -> int:
-        values = tuple(x[v] for v in tr.maps[w])
-        return src_index[ProductElement(tr.base_image(w), values)]
+        return encode(tr.base_image(w), tuple(x[v] for v in tr.maps[w]))
 
     hit = set()
     for w in free.words:

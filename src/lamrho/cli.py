@@ -20,8 +20,8 @@ from .errors import (
     InputFormatError,
     LamrhoError,
     MapRangeError,
-    NotACongruenceError,
     SearchCapError,
+    SizeCapError,
 )
 from .groupwreath import corollary_demo, verify_wreath_iso, wreathize
 from .product import product_table
@@ -415,8 +415,8 @@ def main(argv=None) -> int:
     except (InputFormatError, MapRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except NotACongruenceError as exc:
-        print(f"not verified: {exc}", file=sys.stderr)
+    except (SizeCapError, SearchCapError) as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
         return 1
     except LamrhoError as exc:
         print(f"not verified: {exc}", file=sys.stderr)

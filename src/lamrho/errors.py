@@ -88,6 +88,10 @@ class ComposeMismatchError(LamrhoError):
     """Arrows are not composable."""
 
 
+class NotIsomorphicError(LamrhoError):
+    """A semigroup that should match a given one is not isomorphic to it."""
+
+
 class NotClosedError(LamrhoError):
     """Element set is not closed under the product."""
 

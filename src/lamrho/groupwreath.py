@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 from .actions import RightAction, from_right_action, wreath_oracle
 from .category import Transformation, is_system_isomorphism, validate_transformation
-from .errors import NotGroupPreservingError, SizeCapError
-from .product import (
-    DEFAULT_UNIVERSE_CAP,
-    ProductElement,
-    product_table,
-    universe,
+from .errors import (
+    NotACongruenceError,
+    NotGroupPreservingError,
+    NotIsomorphicError,
+    SizeCapError,
 )
+from .product import DEFAULT_UNIVERSE_CAP, _encoder, product_table
 from .semigroup import (
     L2_1,
     L2,
@@ -188,8 +188,7 @@ def verify_wreath_iso(
     search_ok = find_isomorphism(oracle, prod, cap=max(prod.size, 1)) is not None
 
     # explicit route: oracle elements are (u, g) with u over the carrier
-    elems = universe(h_sg, system, cap=cap)
-    index = {e: i for i, e in enumerate(elems)}
+    encode = _encoder(h_sg, system)
     base = system.base
     e = identity_element(base)
     mapping = []
@@ -197,7 +196,7 @@ def verify_wreath_iso(
         lam_eg = system.lam_map(e, g)
         for u in itertools.product(range(h_sg.size), repeat=action.carrier):
             values = tuple(u[lam_eg[i]] for i in range(system.index_sizes[g]))
-            mapping.append(index[ProductElement(g, values)])
+            mapping.append(encode(g, values))
     construction_ok = len(set(mapping)) == prod.size and all(
         mapping[oracle.mul(i, j)] == prod.mul(mapping[i], mapping[j])
         for i in range(oracle.size)
@@ -277,12 +276,12 @@ def _decomposition_branch(name, system, partition_classes, target):
     prod = product_table(Z2, system)
     part = Partition.from_classes(prod.size, partition_classes)
     if not is_congruence(prod, part):
-        raise NotGroupPreservingError("witness partition is not a congruence")
+        raise NotACongruenceError(f"{name}: witness partition is not a congruence")
     quot = quotient(prod, part)
     validate_table([list(r) for r in quot.table])  # re-validation cross-check
     iso = find_isomorphism(quot, target)
     if iso is None:
-        raise NotGroupPreservingError("witness quotient misses the target")
+        raise NotIsomorphicError(f"{name}: witness quotient is not isomorphic to the target")
     return DecompositionBranch(name, system, prod, part, quot, target, iso)
 
 

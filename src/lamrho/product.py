@@ -13,6 +13,7 @@ witnessing non-associativity, and this module constructs it.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -21,7 +22,7 @@ from .errors import (
     NotIdempotentError,
     SizeCapError,
 )
-from .semigroup import FiniteSemigroup, Homomorphism
+from .semigroup import FiniteSemigroup, Homomorphism, associativity_witness
 from .system import AxiomViolation, LrSystem
 
 DEFAULT_UNIVERSE_CAP = 10**6
@@ -42,6 +43,55 @@ def universe_size(h: FiniteSemigroup, system: LrSystem) -> int:
     return sum(h.size ** k for k in system.index_sizes)
 
 
+# Element codes. The element (x, a) has the code
+#     offset[a] + sum_i x_i * |H|^(k-1-i),    k = |I[a]|,
+# where offset[a] counts the elements of the anchors before a. Codes are
+# exactly the positions in the documented order (anchors ascending, tuples
+# lexicographic with the leftmost index most significant), so the tables
+# below are built on codes and ProductElement is only a decode view.
+
+
+def _offsets(
+    h: FiniteSemigroup, system: LrSystem, cap: int | None = None
+) -> list[int]:
+    """The code of each anchor's first element, then the universe size.
+
+    Raises SizeCapError when that size passes ``cap``, before anything of
+    that size is built.
+    """
+    offsets = [0]
+    for k in system.index_sizes:
+        offsets.append(offsets[-1] + h.size ** k)
+    if cap is not None and offsets[-1] > cap:
+        raise SizeCapError(f"universe has {offsets[-1]} elements, cap is {cap}")
+    return offsets
+
+
+def _encoder(h: FiniteSemigroup, system: LrSystem):
+    """A function giving the code of the element with the given anchor and
+    values (the engine's replacement for a universe-to-index dict)."""
+    offsets = _offsets(h, system)
+    m = h.size
+
+    def encode(anchor: int, values) -> int:
+        code = 0
+        for v in values:
+            code = code * m + v
+        return offsets[anchor] + code
+
+    return encode
+
+
+def _decode(h: FiniteSemigroup, system: LrSystem, offsets, code: int) -> ProductElement:
+    """The element with the given code; ``offsets`` from :func:`_offsets`."""
+    anchor = bisect.bisect_right(offsets, code) - 1
+    rest = code - offsets[anchor]
+    values = [0] * system.index_sizes[anchor]
+    for i in range(len(values) - 1, -1, -1):
+        rest, values[i] = divmod(rest, h.size)
+    return ProductElement(anchor, tuple(values))
+
+
 def universe(
     h: FiniteSemigroup, system: LrSystem, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> list[ProductElement]:
@@ -49,9 +99,7 @@ def universe(
     (leftmost index most significant). An empty index set contributes a
     single element with the empty tuple.
     """
-    total = universe_size(h, system)
-    if total > cap:
-        raise SizeCapError(f"universe has {total} elements, cap is {cap}")
+    _offsets(h, system, cap)
     out = []
     for a in system.base.elements():
         for values in itertools.product(
@@ -76,6 +124,58 @@ def multiply(
     return ProductElement(ab, values)
 
 
+def _rows(h: FiniteSemigroup, system: LrSystem, offsets) -> tuple[tuple[int, ...], ...]:
+    """The multiplication table on codes, one row per left factor.
+
+    For a pair of anchors (a, b) with k = |I[ab]|, the code of
+    (x, a) * (y, b) is offset[ab] + sum_j f_j(y_j) over the coordinates j
+    of y, where f_j(v) adds up x[lam[a,b](i)] * v (in H) weighted
+    |H|^(k-1-i) over the coordinates i of the result with rho[a,b](i) = j.
+    So the row of (x, a) over anchor b holds these sums for all tuples y
+    in lexicographic order: one integer addition per cell, and no element
+    built or hashed.
+    """
+    m = h.size
+    base = system.base
+    sizes = system.index_sizes
+    h_rows = h.table
+    # routing per anchor pair (a, b): the offset of ab, and for each
+    # coordinate j of y the (lam value, weight) pairs of the result
+    # coordinates i with rho[a,b](i) = j
+    routes = []
+    for a in base.elements():
+        per_a = []
+        for b in base.elements():
+            ab = base.mul(a, b)
+            k = sizes[ab]
+            lam, rho = system.lam_map(a, b), system.rho_map(a, b)
+            terms = [[] for _ in range(sizes[b])]
+            for i in range(k):
+                terms[rho[i]].append((lam[i], m ** (k - 1 - i)))
+            per_a.append((offsets[ab], terms))
+        routes.append(per_a)
+    # cells hold the same int objects, one per element, as a table built
+    # from an index list would
+    codes = list(range(offsets[-1]))
+    zero = (0,) * m
+    rows = []
+    for a in base.elements():
+        per_a = routes[a]
+        for x in itertools.product(range(m), repeat=sizes[a]):
+            row = []
+            for start, terms in per_a:
+                segment = [start]
+                for reads in terms:
+                    f = zero
+                    for l, w in reads:
+                        hx = h_rows[x[l]]
+                        f = [f[v] + hx[v] * w for v in range(m)]
+                    segment = [s + t for s in segment for t in f]
+                row.extend(segment)
+            rows.append(tuple(map(codes.__getitem__, row)))
+    return tuple(rows)
+
+
 def product_table(
     h: FiniteSemigroup, system: LrSystem, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> FiniteSemigroup:
@@ -85,18 +185,19 @@ def product_table(
     system the result is a semigroup (re-validation is part of the test
     suite, not of this constructor).
     """
-    elems = universe(h, system, cap=cap)
-    index = {e: i for i, e in enumerate(elems)}
-    table = tuple(
-        tuple(index[multiply(h, system, p, q)] for q in elems) for p in elems
+    offsets = _offsets(h, system, cap)
+    digits = [str(v) for v in range(h.size)]
+    names = tuple(
+        f"{a}:" + "".join(values)
+        for a in system.base.elements()
+        for values in itertools.product(digits, repeat=system.index_sizes[a])
     )
-    names = tuple(e.label() for e in elems)
-    return FiniteSemigroup(len(elems), table, names)
+    return FiniteSemigroup(offsets[-1], _rows(h, system, offsets), names)
 
 
 @dataclass(frozen=True)
 class AssociativityReport:
-    """Outcome of the exhaustive scan, with the first failing triple."""
+    """Outcome of the associativity test, with the first failing triple."""
 
     associative: bool
     witness: tuple[ProductElement, ProductElement, ProductElement] | None = None
@@ -108,30 +209,20 @@ class AssociativityReport:
 def associativity_oracle(
     h: FiniteSemigroup, system: LrSystem, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> AssociativityReport:
-    """Exhaustively test (p*q)*r == p*(q*r) over the whole universe.
+    """Test (p*q)*r == p*(q*r) over the whole universe.
 
     The system only needs to be shape-valid; this is the independent
-    ground truth the axiom checker is measured against. Returns the first
+    ground truth the axiom checker is measured against. The table is
+    tested by :func:`associativity_witness`, so the witness is the first
     failing triple in enumeration order, if any.
     """
-    elems = universe(h, system, cap=cap)
-    index = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    table = [
-        [index[multiply(h, system, p, q)] for q in elems] for p in elems
-    ]
-    for i in range(n):
-        row_i = table[i]
-        for j in range(n):
-            ij = row_i[j]
-            row_ij = table[ij]
-            row_j = table[j]
-            for k in range(n):
-                if row_ij[k] != row_i[row_j[k]]:
-                    return AssociativityReport(
-                        False, (elems[i], elems[j], elems[k])
-                    )
-    return AssociativityReport(True)
+    offsets = _offsets(h, system, cap)
+    witness = associativity_witness(_rows(h, system, offsets))
+    if witness is None:
+        return AssociativityReport(True)
+    return AssociativityReport(
+        False, tuple(_decode(h, system, offsets, code) for code in witness)
+    )
 
 
 def _letters_with_identity(system: LrSystem, zero_kind: str) -> FiniteSemigroup:
@@ -219,10 +310,9 @@ def embed_base(
     if h.mul(idempotent, idempotent) != idempotent:
         raise NotIdempotentError(f"{idempotent} is not idempotent in H")
     target = product_table(h, system, cap=cap)
-    elems = universe(h, system, cap=cap)
-    index = {e: i for i, e in enumerate(elems)}
+    encode = _encoder(h, system)
     mapping = tuple(
-        index[ProductElement(a, (idempotent,) * system.index_sizes[a])]
+        encode(a, (idempotent,) * system.index_sizes[a])
         for a in system.base.elements()
     )
     return Homomorphism(system.base, target, mapping)
@@ -242,12 +332,8 @@ def embed_fiber(
     if system.index_sizes[f] == 0:
         raise EmptyFiberError(f"base element {f} has an empty index set")
     target = product_table(h, system, cap=cap)
-    elems = universe(h, system, cap=cap)
-    index = {e: i for i, e in enumerate(elems)}
-    mapping = tuple(
-        index[ProductElement(f, (x,) * system.index_sizes[f])]
-        for x in h.elements()
-    )
+    encode = _encoder(h, system)
+    mapping = tuple(encode(f, (x,) * system.index_sizes[f]) for x in h.elements())
     return Homomorphism(h, target, mapping)
 
 

@@ -24,13 +24,21 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterator
 
-from .errors import AxiomViolationError, IdealViolationError, MapRangeError
+from .errors import (
+    AxiomViolationError,
+    IdealViolationError,
+    MapRangeError,
+    SizeCapError,
+)
 from .semigroup import FiniteSemigroup, identity_element, is_group
 
 AXIOMS = ("alpha", "beta", "gamma")
 
 EXHAUSTIVE_BASE_CAP = 3
 EXHAUSTIVE_FIBER_CAP = 3
+# Seeded enumeration keeps one 8-byte code per map of a slot: 2**24 codes
+# (128 MB) is every map between two fibers of 8.
+SEEDED_CODE_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -309,7 +317,13 @@ def _candidates(slot, rng):
         return lambda: (slot.pinned,)
     if rng is None:
         return lambda: itertools.product(range(codomain), repeat=domain)
-    codes = array("q", range(codomain**domain))
+    count = codomain**domain
+    if count > SEEDED_CODE_CAP:
+        raise SizeCapError(
+            f"{slot.kind}[{slot.a},{slot.b}] has {codomain}**{domain} = {count} maps, "
+            f"cap is {SEEDED_CODE_CAP} codes"
+        )
+    codes = array("q", range(count))
     if len(codes) > 1:
         rng.shuffle(codes)
 

@@ -18,6 +18,7 @@ from lamrho import (
     CATALOG,
     TRIVIAL,
     LrSystem,
+    SizeCapError,
     SquareViolationError,
     Transformation,
     axiom_violations,
@@ -294,3 +295,15 @@ def test_seeded_enumeration_stores_codes_not_tuples():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_seeded_enumeration_checks_its_cap_before_allocating():
+    # 9**9 codes of one slot would take about 3 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match=r"9\*\*9 = 387420489 maps, cap is 16777216"):
+            next(enumerate_systems(TRIVIAL, (9,), limit=1, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

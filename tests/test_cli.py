@@ -262,3 +262,19 @@ def test_malformed_maps_sizes_and_bounds_are_input_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("product", "--base", "flipflop_system", "--h", "z3", "--cap", "10"),
+         "inconclusive: universe has 12 elements, cap is 10"),
+        (("iso", "--base", "z2", "--h", "z2", "--cap", "1"),
+         "inconclusive: isomorphism search capped at 1 elements"),
+    ],
+)
+def test_cap_hit_is_inconclusive_not_refuted(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(expected) and "Traceback" not in err

@@ -6,7 +6,9 @@ from lamrho import (
     TRIVIAL,
     Z2,
     Z3,
+    NotACongruenceError,
     NotGroupPreservingError,
+    NotIsomorphicError,
     RightAction,
     builtin_system,
     check_bijectivity,
@@ -27,6 +29,7 @@ from lamrho import (
     verify_wreath_iso,
     wreathize,
 )
+from lamrho.groupwreath import _decomposition_branch
 
 
 def regular_action(group):
@@ -185,3 +188,20 @@ def test_corollary_json_roundtrip():
     payload = corollary_demo().to_json_dict()
     assert json.loads(json.dumps(payload)) == payload
     assert {b["branch"] for b in payload["branches"]} == {"flip_flop", "left_zero"}
+
+
+def test_decomposition_branch_rejects_a_partition_that_is_not_a_congruence():
+    # {0:0, 1:00} is not compatible with the product: 0:1 * 0:0 = 0:1 but
+    # 0:1 * 1:00 = 1:11
+    with pytest.raises(NotACongruenceError):
+        _decomposition_branch(
+            "flip_flop", builtin_system("flip_flop"), [[0, 2], [1], [3, 4, 5]], L2_1
+        )
+
+
+def test_decomposition_branch_rejects_a_quotient_that_misses_the_target():
+    # the right partition, but a three-element group as the target
+    with pytest.raises(NotIsomorphicError):
+        _decomposition_branch(
+            "flip_flop", builtin_system("flip_flop"), [[0, 1], [2, 5], [3, 4]], Z3
+        )

@@ -1,10 +1,16 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _perturbed_single_axiom_candidates
+from test_checkers import perturbations
 
 from lamrho import (
+    CATALOG,
     JOIN2,
     L2,
+    L2_1,
     MEET2,
     TRIVIAL,
     Z2,
@@ -20,6 +26,7 @@ from lamrho import (
     embed_base,
     embed_fiber,
     empty_system,
+    enumerate_systems,
     find_isomorphism,
     multiply,
     nonassociativity_witness,
@@ -261,3 +268,109 @@ def test_subset_form_agrees_with_tuple_form():
 def test_product_names_follow_anchor_digit_scheme():
     t = product_table(Z2, builtin_system("non_semidirect"))
     assert t.names == ("0:", "1:00", "1:01", "1:10", "1:11")
+
+
+# ---------------------------------------------------------------------------
+# The integer engine against the cell-by-cell construction
+
+
+def reference_product_table(h, system):
+    """Every cell formed as a ProductElement by ``multiply`` and looked up
+    in a universe-to-index dict; returns the table and the names."""
+    elems = universe(h, system)
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(
+        tuple(index[multiply(h, system, p, q)] for q in elems) for p in elems
+    )
+    return table, tuple(e.label() for e in elems)
+
+
+def reference_oracle_witness(h, system):
+    """First failing triple of the reference table in lexicographic order."""
+    elems = universe(h, system)
+    table, _ = reference_product_table(h, system)
+    for i, j, k in itertools.product(range(len(elems)), repeat=3):
+        if table[table[i][j]][k] != table[i][table[j][k]]:
+            return (elems[i], elems[j], elems[k])
+    return None
+
+
+def test_product_table_matches_reference_on_acceptance_systems():
+    # the systems of criterion 05 (catalog bases of size <= 3, fibers <= 2,
+    # 200 systems per vector) and the perturbed candidates of criterion 06
+    systems = [
+        system
+        for base in CATALOG.values()
+        if base.size <= 3
+        for sizes in itertools.product(range(3), repeat=base.size)
+        for system in enumerate_systems(base, sizes, limit=200)
+    ]
+    found, _ = _perturbed_single_axiom_candidates(minimum=50)
+    systems += [cand for items in found.values() for cand, _ in items]
+    for system in systems:
+        for h in (Z2, L2, JOIN2):
+            table = product_table(h, system)
+            assert (table.table, table.names) == reference_product_table(h, system)
+
+
+@st.composite
+def shape_valid_systems(draw):
+    """A coefficient semigroup and a system that is shape-valid but in
+    general breaks the axioms: random fiber sizes, emptied where a product
+    of an empty fiber would land, and random maps."""
+    base = draw(st.sampled_from(list(CATALOG.values())))
+    n = base.size
+    sizes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.product(range(n), repeat=2):
+            if sizes[base.mul(a, b)] and not (sizes[a] and sizes[b]):
+                sizes[base.mul(a, b)] = 0
+                changed = True
+    lam, rho = [], []
+    for a in range(n):
+        for b in range(n):
+            k = sizes[base.mul(a, b)]
+            for maps, cod in ((lam, sizes[a]), (rho, sizes[b])):
+                maps.append(tuple(
+                    draw(st.lists(st.integers(0, cod - 1), min_size=k, max_size=k))
+                    if k else ()
+                ))
+    h = draw(st.sampled_from([TRIVIAL, Z2, L2, JOIN2, Z3, L2_1]))
+    return h, LrSystem(base, tuple(sizes), tuple(lam), tuple(rho))
+
+
+@given(shape_valid_systems())
+@settings(max_examples=80, deadline=None)
+def test_product_table_matches_reference_on_random_systems(case):
+    h, system = case
+    table = product_table(h, system)
+    assert (table.table, table.names) == reference_product_table(h, system)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_associativity_oracle_matches_reference_on_perturbations(name):
+    # every system with fibers <= 2 over the base and every system one
+    # entry away from one of them, as in test_checkers; for l2_1 (53k
+    # distinct systems) every 50th of them
+    base = CATALOG[name]
+    seen = set()
+    candidates = []
+    for sizes in itertools.product(range(3), repeat=base.size):
+        for system in enumerate_systems(base, sizes):
+            for candidate in itertools.chain((system,), perturbations(system)):
+                key = (candidate.index_sizes, candidate.lam, candidate.rho)
+                if key not in seen:
+                    seen.add(key)
+                    candidates.append(candidate)
+    if name == "l2_1":
+        candidates = candidates[::50]
+    failing = 0
+    for candidate in candidates:
+        expected = reference_oracle_witness(Z2, candidate)
+        report = associativity_oracle(Z2, candidate)
+        assert report.witness == expected
+        assert bool(report) == (expected is None)
+        failing += expected is not None
+    assert failing > 0 or name == "trivial"

@@ -35,6 +35,7 @@ from lamrho import (
     subsemigroup_table,
     validate_table,
 )
+from lamrho.semigroup import associativity_witness
 
 
 def brute_force_nonassoc(table):
@@ -468,3 +469,53 @@ def test_divides_witness_matches_full_lattice_search():
                     w.sub_generators, w.sub_elements, w.partition, w.iso.map
                 )
                 assert got == _divides_over_full_lattice(t, s, quotient_only)
+
+
+# ---------------------------------------------------------------------------
+# Light's associativity test against the lexicographic scan
+
+
+def test_associativity_witness_matches_scan_on_every_small_magma():
+    # all 1 + 2^4 + 3^9 tables on at most three elements
+    for n in (1, 2, 3):
+        for entries in itertools.product(range(n), repeat=n * n):
+            rows = [entries[i * n:(i + 1) * n] for i in range(n)]
+            assert associativity_witness(rows) == brute_force_nonassoc(rows)
+
+
+_MAGMA_POOL = list(CATALOG.values()) + [
+    sg for sg in _GENERATED_POOL if sg.size <= 12
+]
+
+
+@st.composite
+def _magmas(draw):
+    """Random tables, and relabelled semigroups of the pool with at most one
+    entry changed, on at most 12 elements."""
+    kind = draw(st.sampled_from(("random", "semigroup", "perturbed")))
+    if kind == "random":
+        n = draw(st.integers(1, 12))
+        return draw(
+            st.lists(
+                st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    sg = draw(st.sampled_from(_MAGMA_POOL))
+    n = sg.size
+    p = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            rows[p[i]][p[j]] = p[sg.mul(i, j)]
+    if kind == "perturbed":
+        i, j, v = (draw(st.integers(0, n - 1)) for _ in range(3))
+        rows[i][j] = v
+    return rows
+
+
+@given(_magmas())
+@settings(max_examples=300, deadline=None)
+def test_associativity_witness_matches_scan_on_random_magmas(rows):
+    assert associativity_witness(rows) == brute_force_nonassoc(rows)
