@@ -278,6 +278,24 @@ def _words_up_to(alphabet: int, bound: int, include_empty: bool) -> tuple[Word, 
     return tuple(out)
 
 
+def _held_entries(alphabet: int, points: int, bound: int, cap: int) -> tuple[int, int]:
+    """Letters held by the words of lengths 1..bound plus coordinates held
+    by their candidate fiber points, sum of L * (alphabet**L + points**L),
+    where ``points`` is the sum of the letter fiber sizes.
+
+    Counting stops at the first length whose running total passes ``cap``;
+    returns (total, last length counted).
+    """
+    total = 0
+    if alphabet == 0:
+        return total, bound
+    for length in range(1, bound + 1):
+        total += length * (alphabet**length + points**length)
+        if total > cap:
+            return total, length
+    return total, bound
+
+
 @dataclass(frozen=True)
 class FreeAxiomReport:
     instances: int
@@ -301,7 +319,10 @@ class TruncatedFreeSystem:
 
     Everything is materialised for words of length <= bound; operations
     return None beyond the bound, and the axiom check quantifies only
-    over triples whose full concatenation stays within it.
+    over triples whose full concatenation stays within it. Before anything
+    is built, the letters and fiber coordinates the bound implies are
+    counted from the letter sizes alone; more than ``cap`` raises
+    SizeCapError.
     """
 
     def __init__(
@@ -311,6 +332,7 @@ class TruncatedFreeSystem:
         shared_size: int | None = None,
         letter_lambda=None,
         letter_rho=None,
+        cap: int = DEFAULT_UNIVERSE_CAP,
     ):
         if bound < 1:
             raise MapRangeError("length bound must be at least 1")
@@ -338,6 +360,13 @@ class TruncatedFreeSystem:
         else:
             self.letter_lambda = None
             self.letter_rho = None
+        held, length = _held_entries(self.alphabet, sum(self.letter_sizes), bound, cap)
+        held += shared_size or 0
+        if held > cap:
+            raise SizeCapError(
+                f"free system of bound {bound} holds {held} letters and fiber "
+                f"coordinates up to length {length}, cap is {cap}"
+            )
         self.words = _words_up_to(self.alphabet, bound, self.unit)
         self._fibers: dict[Word, list] = {}
         self._pos: dict[Word, dict] = {}
@@ -424,15 +453,17 @@ class TruncatedFreeSystem:
         return True
 
 
-def free_semigroup_system(letter_sizes, bound: int) -> TruncatedFreeSystem:
+def free_semigroup_system(
+    letter_sizes, bound: int, cap: int = DEFAULT_UNIVERSE_CAP
+) -> TruncatedFreeSystem:
     """Fibers of words are products of letter fibers; maps are the two
     projections. Axioms hold on the nose; check_axioms confirms it
     mechanically over the materialised range."""
-    return TruncatedFreeSystem(letter_sizes, bound)
+    return TruncatedFreeSystem(letter_sizes, bound, cap=cap)
 
 
 def free_monoid_system(
-    shared_size: int, letter_lambda, letter_rho, bound: int
+    shared_size: int, letter_lambda, letter_rho, bound: int, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> TruncatedFreeSystem:
     """Unit-mode free system built from per-letter maps into a shared set."""
     letter_sizes = tuple(len(m) for m in letter_lambda)
@@ -444,6 +475,7 @@ def free_monoid_system(
         shared_size=shared_size,
         letter_lambda=letter_lambda,
         letter_rho=letter_rho,
+        cap=cap,
     )
 
 

@@ -5,6 +5,9 @@ with '{' or '['). Exit status: 0 on success or verified, 1 on a
 verification failure (the witness is printed), 2 on usage or input
 errors. Commands that randomise accept --seed and are reproducible given
 it; repeated runs with identical arguments produce identical bytes.
+
+Each command imports the library modules it calls, inside the branch that
+calls them, so a run loads no more of the package than its command needs.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ import argparse
 import json
 import sys
 
-from . import serialize
-from .actions import builtin_system
-from .category import free_monoid_system, free_semigroup_system
 from .errors import (
     InputFormatError,
     LamrhoError,
@@ -23,20 +23,10 @@ from .errors import (
     SearchCapError,
     SizeCapError,
 )
-from .groupwreath import corollary_demo, verify_wreath_iso, wreathize
-from .product import product_table
-from .semigroup import (
-    CATALOG,
-    FiniteSemigroup,
-    divides,
-    find_isomorphism,
-    quotient,
-    validate_table,
-)
-from .serialize import BUILTIN_SYSTEM_NAMES
-from .system import LrSystem, enumerate_systems, validate_axioms
 
 DEFAULT_ENUM_LIMIT = 100
+# product.DEFAULT_UNIVERSE_CAP, written out so that parsing loads no engine
+DEFAULT_UNIVERSE_CAP = 10**6
 
 
 def _looks_inline(text: str) -> bool:
@@ -45,29 +35,45 @@ def _looks_inline(text: str) -> bool:
 
 
 def _inline_json(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError("<inline>", "<json>", str(exc)) from None
+    from . import serialize
+
+    return serialize._parse_json(text, "<inline>")
+
+
+def _json_arg(spec: str):
+    """Inline JSON, or the JSON document in the file ``spec`` names."""
+    from . import serialize
+
+    return _inline_json(spec) if _looks_inline(spec) else serialize._load_json(spec)
 
 
 def resolve_semigroup(spec: str) -> FiniteSemigroup:
+    from .semigroup import CATALOG
+
     if spec in CATALOG:
         return CATALOG[spec]
+    from . import serialize
+
     if _looks_inline(spec):
         return serialize.semigroup_from_dict(_inline_json(spec), where="<inline>")
     return serialize.load_semigroup(spec)
 
 
 def resolve_system(spec: str) -> LrSystem:
-    if spec in BUILTIN_SYSTEM_NAMES:
-        return builtin_system(BUILTIN_SYSTEM_NAMES[spec])
+    from . import serialize
+
+    if spec in serialize.BUILTIN_SYSTEM_NAMES:
+        from .actions import builtin_system
+
+        return builtin_system(serialize.BUILTIN_SYSTEM_NAMES[spec])
     if _looks_inline(spec):
         return serialize.system_from_dict(_inline_json(spec), where="<inline>")
     return serialize.load_system(spec)
 
 
 def resolve_action(spec: str):
+    from . import serialize
+
     if _looks_inline(spec):
         return serialize.action_from_dict(_inline_json(spec), where="<inline>")
     return serialize.load_action(spec)
@@ -78,6 +84,16 @@ def _parse_sizes(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputFormatError("<args>", "--sizes", "expected integers like 2,1") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 def render_table(sg: FiniteSemigroup) -> str:
@@ -96,6 +112,8 @@ def _emit(args, text_render, json_obj) -> None:
     else:
         print(text_render() if callable(text_render) else text_render)
     if args.out:
+        from . import serialize
+
         serialize.dump_json(json_obj, args.out)
 
 
@@ -108,10 +126,14 @@ def _cmd_validate(args) -> int:
         raise InputFormatError("<args>", "--base/--system/--action", "nothing to validate")
     status = 0
     if args.base:
+        from .semigroup import validate_table
+
         sg = resolve_semigroup(args.base)
         validate_table([list(r) for r in sg.table], sg.names)
         print(f"semigroup ok: {sg.size} elements")
     if args.system:
+        from .system import validate_axioms
+
         system = resolve_system(args.system)
         validate_axioms(system)
         print(
@@ -125,6 +147,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_product(args) -> int:
+    from . import serialize
+    from .product import product_table
+    from .semigroup import validate_table
+    from .system import validate_axioms
+
     spec = args.base or args.system
     if not spec:
         raise InputFormatError("<args>", "--base", "a system is required")
@@ -139,28 +166,29 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from . import serialize
+    from .semigroup import quotient, validate_table
+
     if not args.base:
         raise InputFormatError("<args>", "--base", "a semigroup is required")
     if not args.partition:
         raise InputFormatError("<args>", "--partition", "a partition is required")
     sg = resolve_semigroup(args.base)
     validate_table([list(r) for r in sg.table], sg.names)
-    if _looks_inline(args.partition):
-        raw = _inline_json(args.partition)
-    else:
-        raw = serialize._load_json(args.partition)
-    part = serialize.partition_from_obj(raw, sg.size)
+    part = serialize.partition_from_obj(_json_arg(args.partition), sg.size)
     q = quotient(sg, part)
     _emit(args, lambda: render_table(q), serialize.semigroup_to_dict(q))
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from .semigroup import find_isomorphism
+
     if not (args.base and args.h):
         raise InputFormatError("<args>", "--base/--h", "two semigroups are required")
     a = resolve_semigroup(args.base)
     b = resolve_semigroup(args.h)
-    iso = find_isomorphism(a, b, cap=args.cap if args.cap else 32)
+    iso = find_isomorphism(a, b, cap=32 if args.cap is None else args.cap)
     if iso is None:
         print("absent: no isomorphism")
         return 1
@@ -169,6 +197,8 @@ def _cmd_iso(args) -> int:
 
 
 def _cmd_divides(args) -> int:
+    from .semigroup import divides
+
     if not (args.base and args.h):
         raise InputFormatError(
             "<args>", "--base/--h", "need the ambient (--base) and candidate (--h)"
@@ -176,7 +206,7 @@ def _cmd_divides(args) -> int:
     s = resolve_semigroup(args.base)
     t = resolve_semigroup(args.h)
     kwargs = {}
-    if args.cap:
+    if args.cap is not None:
         kwargs["congruence_cap"] = args.cap
     try:
         witness = divides(t, s, quotient_only=args.quotient_only, **kwargs)
@@ -204,6 +234,8 @@ def _cmd_divides(args) -> int:
 
 
 def _cmd_examples(args) -> int:
+    from . import serialize
+
     if args.base:
         sg = resolve_semigroup(args.base)
         _emit(args, lambda: render_table(sg), serialize.semigroup_to_dict(sg))
@@ -217,9 +249,11 @@ def _cmd_examples(args) -> int:
             serialize.system_to_dict(system),
         )
         return 0
+    from .semigroup import CATALOG
+
     names = {
         "semigroups": sorted(CATALOG),
-        "systems": sorted(BUILTIN_SYSTEM_NAMES),
+        "systems": sorted(serialize.BUILTIN_SYSTEM_NAMES),
     }
     _emit(
         args,
@@ -233,11 +267,12 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_free(args) -> int:
+    from .category import free_monoid_system, free_semigroup_system
+
     if args.system:
-        if _looks_inline(args.system):
-            raw = _inline_json(args.system)
-        else:
-            raw = serialize._load_json(args.system)
+        from . import serialize
+
+        raw = _json_arg(args.system)
         where = "<free spec>"
         if not isinstance(raw, dict):
             raise InputFormatError(where, "<json>", "expected an object")
@@ -246,9 +281,10 @@ def _cmd_free(args) -> int:
             serialize._int_matrix(raw.get("lambda", []), "lambda", where),
             serialize._int_matrix(raw.get("rho", []), "rho", where),
             args.bound,
+            cap=args.cap,
         )
     elif args.sizes:
-        free = free_semigroup_system(_parse_sizes(args.sizes), args.bound)
+        free = free_semigroup_system(_parse_sizes(args.sizes), args.bound, cap=args.cap)
     else:
         raise InputFormatError("<args>", "--sizes/--system", "nothing to build")
     report = free.check_axioms()
@@ -284,6 +320,10 @@ def _cmd_free(args) -> int:
 
 
 def _cmd_wreathize(args) -> int:
+    from . import serialize
+    from .groupwreath import verify_wreath_iso, wreathize
+    from .system import validate_axioms
+
     if not args.system:
         raise InputFormatError("<args>", "--system", "a system is required")
     system = validate_axioms(resolve_system(args.system))
@@ -312,12 +352,18 @@ def _cmd_wreathize(args) -> int:
 
 
 def _cmd_corollary(args) -> int:
+    from .groupwreath import corollary_demo
+
     report = corollary_demo()
     _emit(args, report.render_text, report.to_json_dict())
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from . import serialize
+    from .semigroup import validate_table
+    from .system import enumerate_systems
+
     if not args.base:
         raise InputFormatError("<args>", "--base", "a base semigroup is required")
     if not args.sizes:
@@ -325,7 +371,7 @@ def _cmd_enumerate(args) -> int:
     base = resolve_semigroup(args.base)
     validate_table([list(r) for r in base.table], base.names)
     sizes = _parse_sizes(args.sizes)
-    limit = args.cap if args.cap else DEFAULT_ENUM_LIMIT
+    limit = DEFAULT_ENUM_LIMIT if args.cap is None else args.cap
     found = []
     for system in enumerate_systems(base, sizes, limit=limit, seed=args.seed):
         found.append(system)
@@ -387,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--partition", help="partition (path or inline JSON)")
         p.add_argument("--bound", type=int, default=3, help="word length bound")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--cap", type=int, default=None, help="size or search cap")
+        p.add_argument(
+            "--cap", type=_positive_int, default=None, help="size or search cap (positive)"
+        )
         p.add_argument("--sizes", help="comma-separated fiber sizes")
         p.add_argument(
             "--quotient-only",
@@ -408,8 +456,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.cap is None and args.command in ("product", "wreathize"):
-        args.cap = 10**6
+    if args.cap is None and args.command in ("product", "wreathize", "free"):
+        args.cap = DEFAULT_UNIVERSE_CAP
     try:
         return _HANDLERS[args.command](args)
     except (InputFormatError, MapRangeError) as exc:

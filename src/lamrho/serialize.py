@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 import os
 
-from .actions import RightAction, TwoSidedAction
+# the action, arrow and system types are imported by the readers that
+# build them, so a caller that only reads semigroups loads no more
 from .errors import InputFormatError, LamrhoError
-from .category import Transformation
-from .semigroup import CATALOG, FiniteSemigroup, Partition, _is_int
-from .system import LrSystem
+from .semigroup import CATALOG, FiniteSemigroup, Homomorphism, Partition, _is_int
 
 BUILTIN_SYSTEM_NAMES = {
     "flipflop_system": "flip_flop",
@@ -25,6 +24,8 @@ BUILTIN_SYSTEM_NAMES = {
 
 
 def _require(obj, field, where, types=None):
+    if not isinstance(obj, dict):
+        raise InputFormatError(where, field, "expected a JSON object")
     if field not in obj:
         raise InputFormatError(where, field, "missing")
     value = obj[field]
@@ -129,6 +130,8 @@ def _pair_maps_from_dict(obj, field, n, where) -> dict:
 
 
 def system_from_dict(obj, where="<memory>", base_dir=None) -> LrSystem:
+    from .system import LrSystem
+
     base = _resolve_base(_require(obj, "base", where), where, base_dir)
     sizes = _require(obj, "index_sizes", where, list)
     if len(sizes) != base.size or not all(
@@ -154,6 +157,8 @@ def right_action_to_dict(action: RightAction) -> dict:
 
 
 def right_action_from_dict(obj, where="<memory>", base_dir=None) -> RightAction:
+    from .actions import RightAction
+
     base = _resolve_base(_require(obj, "base", where), where, base_dir)
     carrier = _require(obj, "carrier", where, int)
     act = _int_matrix(_require(obj, "act", where, list), "act", where)
@@ -172,6 +177,8 @@ def two_sided_action_to_dict(action: TwoSidedAction) -> dict:
 
 
 def two_sided_action_from_dict(obj, where="<memory>", base_dir=None) -> TwoSidedAction:
+    from .actions import TwoSidedAction
+
     base = _resolve_base(_require(obj, "base", where), where, base_dir)
     carrier = _require(obj, "carrier", where, int)
     left = _int_matrix(_require(obj, "left", where, list), "left", where)
@@ -204,7 +211,7 @@ def transformation_to_dict(tr: Transformation) -> dict:
 def transformation_from_dict(
     obj, source: LrSystem, target: LrSystem, where="<memory>"
 ) -> Transformation:
-    from .semigroup import Homomorphism
+    from .category import Transformation
 
     h_map = _require(obj, "h", where, list)
     raw_t = _require(obj, "t", where, dict)
@@ -235,14 +242,26 @@ def partition_from_obj(obj, size, where="<memory>") -> Partition:
 # File plumbing
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputFormatError(where, "<json>", "nested too deeply") from None
+    except ValueError as exc:  # malformed, or an integer past the digit limit
+        raise InputFormatError(where, "<json>", str(exc)) from None
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise InputFormatError(path, "<file>", "no such file") from None
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(path, "<json>", str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(path, "<file>", f"not UTF-8 text: {exc.reason}") from None
+    except OSError as exc:
+        raise InputFormatError(path, "<file>", exc.strerror or str(exc)) from None
+    return _parse_json(text, path)
 
 
 def load_semigroup(path: str) -> FiniteSemigroup:
@@ -262,6 +281,9 @@ def load_action(path: str):
 
 
 def dump_json(obj, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputFormatError(path, "<file>", exc.strerror or str(exc)) from None

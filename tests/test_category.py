@@ -7,6 +7,7 @@ from lamrho import (
     TRIVIAL,
     Z2,
     ComposeMismatchError,
+    SizeCapError,
     Homomorphism,
     LrSystem,
     SquareViolationError,
@@ -275,3 +276,21 @@ def test_free_monoid_boundary_maps():
     # lam[eps, x] is the per-letter lambda; rho[x, eps] the per-letter rho
     assert free.lam_map((), (0,)) == (0, 1)
     assert free.rho_map((0,), ()) == (1, 0)
+
+
+@pytest.mark.parametrize("sizes,bound", [([2], 3), ([1, 2], 3), ([0, 3], 2), ([1], 5)])
+def test_free_cap_counts_what_is_built(sizes, bound):
+    free = free_semigroup_system(sizes, bound)
+    held = sum(len(w) for w in free.words) + sum(
+        len(pt) for w in free.words for pt in free.fiber(w)
+    )
+    assert free_semigroup_system(sizes, bound, cap=held).words == free.words
+    with pytest.raises(SizeCapError, match=f"holds {held} letters .* cap is {held - 1}$"):
+        free_semigroup_system(sizes, bound, cap=held - 1)
+
+
+def test_free_monoid_cap_counts_the_shared_set():
+    # bound 1: one one-letter word, its two points and the three shared points
+    free_monoid_system(3, [[0, 1]], [[0, 1]], bound=1, cap=1 + 2 + 3)
+    with pytest.raises(SizeCapError, match="holds 6 letters"):
+        free_monoid_system(3, [[0, 1]], [[0, 1]], bound=1, cap=5)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lamrho
 from lamrho import serialize
 from lamrho.cli import main
 from lamrho import Z2, builtin_system, product_table
@@ -278,3 +282,98 @@ def test_cap_hit_is_inconclusive_not_refuted(capsys, argv, expected):
     assert code == 1
     assert out == ""
     assert err.startswith(expected) and "Traceback" not in err
+
+
+def test_file_errors_are_input_errors(capsys, tmp_path):
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"size": 1, "table": [[0]], "names": ["\xe9"]}')
+    cases = [
+        (("validate", "--base", str(tmp_path)), str(tmp_path)),
+        (("validate", "--base", str(latin)), str(latin)),
+        (("quotient", "--base", "z2", "--partition", str(tmp_path)), str(tmp_path)),
+        (("product", "--base", "flipflop_system", "--h", "z2",
+          "--out", str(tmp_path / "missing" / "x.json")), str(tmp_path / "missing")),
+    ]
+    for argv, path in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"input error: {path}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, "[" + "9" * 5000 + "]"])
+def test_json_past_the_decoder_limits_is_input_error(capsys, tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for spec in (text, str(path)):
+        code, out, err = run(capsys, "iso", "--base", spec, "--h", "z2")
+        assert code == 2
+        assert out == "" and err.startswith("input error:")
+
+
+def test_document_that_is_not_an_object_is_input_error(capsys, tmp_path):
+    path = tmp_path / "string.json"
+    path.write_text('"size table"')
+    code, out, err = run(capsys, "validate", "--base", str(path))
+    assert code == 2
+    assert out == "" and "expected a JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--base", "z2", "--sizes", "1,1", "--cap", "0"),
+        ("enumerate", "--base", "z2", "--sizes", "1,1", "--cap", "-1"),
+        ("divides", "--base", "l2_1", "--h", "z2", "--cap", "0"),
+        ("iso", "--base", "z2", "--h", "z2", "--cap", "-5"),
+        ("product", "--base", "flipflop_system", "--h", "z2", "--cap", "0"),
+    ],
+)
+def test_cap_must_be_positive(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "--cap: must be a positive integer" in err
+
+
+def test_free_cap_is_inconclusive(capsys):
+    # lengths 1, 2, 3 hold 5, 26 and 105 letters and fiber coordinates
+    code, out, err = run(capsys, "free", "--sizes", "1,2", "--bound", "3", "--cap", "30")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "inconclusive: free system of bound 3 holds 31 letters and fiber "
+        "coordinates up to length 2, cap is 30\n"
+    )
+    code, _, _ = run(capsys, "free", "--sizes", "1,2", "--bound", "3", "--cap", "136")
+    assert code == 0  # at the cap, not past it
+
+
+FREE_UNDER_RLIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+from lamrho.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("free", "--sizes", "1,2", "--bound", "100"),
+        ("free", "--sizes", "1", "--bound", "100000"),
+        ("free", "--system", '{"shared_size": 1000000000000, "lambda": [], "rho": []}'),
+    ],
+)
+def test_free_cap_applies_before_allocation(argv):
+    # in a child with 512 MB of address space: a cap checked after the
+    # words are built fails here with MemoryError instead of exhausting
+    # the machine
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", FREE_UNDER_RLIMIT, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("inconclusive: free system of bound")
+    assert "cap is 1000000" in proc.stderr
