@@ -19,6 +19,7 @@ system over its own element alphabet, whose induced homomorphism is onto.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -296,6 +297,19 @@ def _held_entries(alphabet: int, points: int, bound: int, cap: int) -> tuple[int
     return total, bound
 
 
+def _word_triples(alphabet: int, shortest: int, bound: int, cap: int) -> int:
+    """Triples of words, each at least ``shortest`` letters long, whose
+    lengths sum to at most ``bound``: the sum over total lengths t of
+    C(t - 3*shortest + 2, 2) * alphabet**t. Counting stops once the running
+    total passes ``cap``."""
+    total = 0
+    for t in range(3 * shortest, bound + 1):
+        total += math.comb(t - 3 * shortest + 2, 2) * alphabet**t
+        if total > cap or alphabet == 0:
+            break  # with no letters, no longer triple exists
+    return total
+
+
 @dataclass(frozen=True)
 class FreeAxiomReport:
     instances: int
@@ -321,7 +335,8 @@ class TruncatedFreeSystem:
     return None beyond the bound, and the axiom check quantifies only
     over triples whose full concatenation stays within it. Before anything
     is built, the letters and fiber coordinates the bound implies are
-    counted from the letter sizes alone; more than ``cap`` raises
+    counted from the letter sizes alone, and before the axiom check walks,
+    so are its word triples; more than ``cap`` of either raises
     SizeCapError.
     """
 
@@ -341,6 +356,7 @@ class TruncatedFreeSystem:
             raise MapRangeError("letter fiber sizes must be non-negative")
         self.alphabet = len(self.letter_sizes)
         self.bound = bound
+        self.cap = cap
         self.unit = shared_size is not None
         self.shared_size = shared_size
         if self.unit:
@@ -437,6 +453,13 @@ class TruncatedFreeSystem:
 
     def check_axioms(self) -> FreeAxiomReport:
         """All axiom instances whose triple concatenation stays in bound."""
+        shortest = 0 if self.unit else 1
+        triples = _word_triples(self.alphabet, shortest, self.bound, self.cap)
+        if triples > self.cap:
+            raise SizeCapError(
+                f"free system of bound {self.bound} has at least {triples} word "
+                f"triples to check, cap is {self.cap}"
+            )
         violations = []
         instances = _axiom_walk(self, self.words, self.mul, violations, False)
         return FreeAxiomReport(instances, tuple(violations))

@@ -59,6 +59,15 @@ def resolve_semigroup(spec: str) -> FiniteSemigroup:
     return serialize.load_semigroup(spec)
 
 
+def _valid_semigroup(spec: str) -> FiniteSemigroup:
+    """The semigroup ``spec`` names, refused unless its table associates."""
+    from .semigroup import validate_table
+
+    sg = resolve_semigroup(spec)
+    validate_table([list(r) for r in sg.table], sg.names)
+    return sg
+
+
 def resolve_system(spec: str) -> LrSystem:
     from . import serialize
 
@@ -126,10 +135,7 @@ def _cmd_validate(args) -> int:
         raise InputFormatError("<args>", "--base/--system/--action", "nothing to validate")
     status = 0
     if args.base:
-        from .semigroup import validate_table
-
-        sg = resolve_semigroup(args.base)
-        validate_table([list(r) for r in sg.table], sg.names)
+        sg = _valid_semigroup(args.base)
         print(f"semigroup ok: {sg.size} elements")
     if args.system:
         from .system import validate_axioms
@@ -149,7 +155,6 @@ def _cmd_validate(args) -> int:
 def _cmd_product(args) -> int:
     from . import serialize
     from .product import product_table
-    from .semigroup import validate_table
     from .system import validate_axioms
 
     spec = args.base or args.system
@@ -158,8 +163,7 @@ def _cmd_product(args) -> int:
     if not args.h:
         raise InputFormatError("<args>", "--h", "a coefficient semigroup is required")
     system = validate_axioms(resolve_system(spec))
-    h = resolve_semigroup(args.h)
-    validate_table([list(r) for r in h.table], h.names)
+    h = _valid_semigroup(args.h)
     table = product_table(h, system, cap=args.cap)
     _emit(args, lambda: render_table(table), serialize.semigroup_to_dict(table))
     return 0
@@ -167,14 +171,13 @@ def _cmd_product(args) -> int:
 
 def _cmd_quotient(args) -> int:
     from . import serialize
-    from .semigroup import quotient, validate_table
+    from .semigroup import quotient
 
     if not args.base:
         raise InputFormatError("<args>", "--base", "a semigroup is required")
     if not args.partition:
         raise InputFormatError("<args>", "--partition", "a partition is required")
-    sg = resolve_semigroup(args.base)
-    validate_table([list(r) for r in sg.table], sg.names)
+    sg = _valid_semigroup(args.base)
     part = serialize.partition_from_obj(_json_arg(args.partition), sg.size)
     q = quotient(sg, part)
     _emit(args, lambda: render_table(q), serialize.semigroup_to_dict(q))
@@ -186,8 +189,8 @@ def _cmd_iso(args) -> int:
 
     if not (args.base and args.h):
         raise InputFormatError("<args>", "--base/--h", "two semigroups are required")
-    a = resolve_semigroup(args.base)
-    b = resolve_semigroup(args.h)
+    a = _valid_semigroup(args.base)
+    b = _valid_semigroup(args.h)
     iso = find_isomorphism(a, b, cap=32 if args.cap is None else args.cap)
     if iso is None:
         print("absent: no isomorphism")
@@ -203,8 +206,8 @@ def _cmd_divides(args) -> int:
         raise InputFormatError(
             "<args>", "--base/--h", "need the ambient (--base) and candidate (--h)"
         )
-    s = resolve_semigroup(args.base)
-    t = resolve_semigroup(args.h)
+    s = _valid_semigroup(args.base)
+    t = _valid_semigroup(args.h)
     kwargs = {}
     if args.cap is not None:
         kwargs["congruence_cap"] = args.cap
@@ -361,15 +364,13 @@ def _cmd_corollary(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     from . import serialize
-    from .semigroup import validate_table
     from .system import enumerate_systems
 
     if not args.base:
         raise InputFormatError("<args>", "--base", "a base semigroup is required")
     if not args.sizes:
         raise InputFormatError("<args>", "--sizes", "index sizes are required")
-    base = resolve_semigroup(args.base)
-    validate_table([list(r) for r in base.table], base.names)
+    base = _valid_semigroup(args.base)
     sizes = _parse_sizes(args.sizes)
     limit = DEFAULT_ENUM_LIMIT if args.cap is None else args.cap
     found = []

@@ -201,34 +201,62 @@ def direct_product(a: FiniteSemigroup, b: FiniteSemigroup) -> FiniteSemigroup:
 
 
 def subsemigroup_closure(sg: FiniteSemigroup, generators) -> tuple[int, ...]:
-    """Smallest product-closed superset of the generators, sorted."""
+    """Smallest product-closed superset of the generators, sorted: the
+    subsemigroup generated when the table is associative, as the walk of
+    :func:`_extend` along the edges x -> x*g reaches every product."""
     gens = sorted(set(generators))
     if not gens:
         raise EmptyGeneratorsError("closure of an empty set is undefined")
     for g in gens:
         if not 0 <= g < sg.size:
             raise OutOfRangeEntryError(f"generator {g} out of range")
-    closed: set[int] = set()
-    _grow_closure(sg.table, closed, gens)
-    return tuple(sorted(closed))
+    return tuple(sorted(_closure_walk(sg.table, gens)[0]))
 
 
-def _grow_closure(table, closed: set, new) -> None:
-    """Adjoin the elements ``new`` to the product-closed set ``closed``, in
-    place, and close it again. Only products with at least one new factor
-    are formed: the others already lie in ``closed``."""
-    frontier = [x for x in new if x not in closed]
-    closed.update(frontier)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row_x = table[x]
-            for y in list(closed):
-                for z in (row_x[y], table[y][x]):
-                    if z not in closed:
-                        closed.add(z)
-                        nxt.append(z)
-        frontier = nxt
+def _closure_walk(table, candidates) -> tuple[dict, list]:
+    """Adjoin in turn each candidate the closure so far misses; returns the
+    closure, as the identity map on it, and the candidates adjoined."""
+    phi, gens = {}, []
+    for x in candidates:
+        if x not in phi:
+            _extend(table, table, phi, gens, x, x)
+            gens.append(x)
+    return phi, gens
+
+
+def _extend(ta, tb, phi: dict, gens, x: int, img: int) -> bool:
+    """Extend ``phi`` in place from <gens> to <gens, x>, with x -> img.
+
+    ``phi`` maps <gens>, which misses x, in table ``ta`` injectively and
+    homomorphically into table ``tb``. The walk assigns or checks
+    phi(u*g) = phi(u)*phi(g) on each new edge of the right Cayley graph:
+    every old element times x, every new element times every generator. In
+    a semigroup that is the homomorphism law, by induction on word length.
+    Returns False on a clash or a repeated image, with ``phi`` part-built.
+    """
+    used = set(phi.values())
+    if img in used:
+        return False
+    edges = [(g, phi[g]) for g in gens] + [(x, img)]
+    # old elements walked every old edge when <gens> was built: x's is new
+    walk = [(u, edges[-1:]) for u in phi]
+    walk.append((x, edges))
+    phi[x] = img
+    used.add(img)
+    for u, out in walk:  # grows as the walk finds elements
+        row_u, row_v = ta[u], tb[phi[u]]
+        for g, vg in out:
+            z, v = row_u[g], row_v[vg]
+            w = phi.get(z)
+            if w is None:
+                if v in used:
+                    return False
+                phi[z] = v
+                used.add(v)
+                walk.append((z, edges))
+            elif w != v:
+                return False
+    return True
 
 
 def subsemigroup_table(sg: FiniteSemigroup, elements) -> FiniteSemigroup:
@@ -555,40 +583,11 @@ def greedy_generators(sg: FiniteSemigroup) -> tuple[int, ...]:
 
 
 def _greedy_generators(table) -> tuple[int, ...]:
-    # needs no associativity: the closure is the submagma generated
-    gens: list[int] = []
-    closed: set[int] = set()
-    for x in range(len(table)):
-        if x not in closed:
-            gens.append(x)
-            _grow_closure(table, closed, (x,))
-    return tuple(gens)
-
-
-def _propagate(a: FiniteSemigroup, b: FiniteSemigroup, seed: dict) -> dict | None:
-    """Extend a partial map on generators to the closure, or None on clash."""
-    phi = dict(seed)
-    used = set(phi.values())
-    if len(used) != len(phi):
-        return None
-    changed = True
-    while changed:
-        changed = False
-        items = list(phi.items())
-        for x, vx in items:
-            for y, vy in items:
-                z = a.mul(x, y)
-                v = b.mul(vx, vy)
-                if z in phi:
-                    if phi[z] != v:
-                        return None
-                else:
-                    if v in used:
-                        return None
-                    phi[z] = v
-                    used.add(v)
-                    changed = True
-    return phi
+    # needs no associativity: on a magma the walk reaches the left-normed
+    # products (...(g1*g2)*...)*gk, which lie in the submagma generated, so
+    # the generators found still generate the whole magma (Light's test in
+    # associativity_witness relies on this)
+    return tuple(_closure_walk(table, range(len(table)))[1])
 
 
 def find_isomorphism(
@@ -598,8 +597,9 @@ def find_isomorphism(
 
     Backtracks over images of a greedy generating set, pruning candidates
     by per-element fingerprints (idempotency, order profile, row/column
-    multiset shape). Deterministic: first match in lexicographic order of
-    generator images.
+    multiset shape); each image extends the map on the earlier generators
+    by :func:`_extend`. Deterministic: first match in lexicographic order
+    of generator images.
     """
     return _find_isomorphism(a, b, cap, None)
 
@@ -626,28 +626,20 @@ def _find_isomorphism(a, b, cap, b_prints) -> Homomorphism | None:
         [j for j in b.elements() if fb[j] == fa[g]] for g in gens
     ]
 
-    def backtrack(k, seed):
+    def backtrack(k, phi):
         if k == len(gens):
-            phi = _propagate(a, b, seed)
-            if phi is None or len(phi) != a.size:
-                return None
-            mapping = tuple(phi[x] for x in a.elements())
-            if len(set(mapping)) != a.size:
-                return None
+            # phi covers a, as greedy_generators walks the same edges; the
+            # check below keeps the search exact when a or b is a magma
             try:
-                return Homomorphism(a, b, mapping)
+                return Homomorphism(a, b, tuple(phi[x] for x in a.elements()))
             except NotAHomomorphismError:
                 return None
         for img in candidates[k]:
-            if img in seed.values():
-                continue
-            trial = dict(seed)
-            trial[gens[k]] = img
-            if _propagate(a, b, trial) is None:
-                continue
-            found = backtrack(k + 1, trial)
-            if found is not None:
-                return found
+            trial = dict(phi)
+            if _extend(a.table, b.table, trial, gens[:k], gens[k], img):
+                found = backtrack(k + 1, trial)
+                if found is not None:
+                    return found
         return None
 
     return backtrack(0, {})
@@ -687,10 +679,13 @@ def divides(
     """Search for a witness that t divides s.
 
     With quotient_only, only congruences of s itself are searched (t must
-    appear directly as a quotient). Otherwise subsemigroups arising as
-    closures of generator sets of size <= 3 are searched as well. Returns
-    None when the bounded search exhausts without finding a witness;
-    raises SearchCapError when a truncated search stayed inconclusive.
+    appear directly as a quotient). Otherwise the closures of generator
+    sets of size <= 3 (:func:`subsemigroup_closure`: on an associative
+    table, the subsemigroups they generate) are searched as well, sorted
+    by (size, elements). The whole semigroup is tried before any closure
+    is built. Returns None when the bounded search exhausts without
+    finding a witness; raises SearchCapError when a truncated search
+    stayed inconclusive.
 
     Candidates are the congruences with exactly |t| classes, tried in the
     order of :func:`all_congruences`. The lattice search keeps only
@@ -703,21 +698,9 @@ def divides(
     t_prints = _fingerprints(t)
     truncated = False
 
-    subs: list[tuple[tuple[int, ...] | None, tuple[int, ...]]] = [
-        (None, tuple(s.elements()))
-    ]
+    subs = [(None, tuple(s.elements()))]
     if not quotient_only:
-        seen = {tuple(s.elements())}
-        found_subs = []
-        for k in (1, 2, 3):
-            for gens in itertools.combinations(range(s.size), k):
-                closed = subsemigroup_closure(s, gens)
-                if closed not in seen and len(closed) >= t.size:
-                    seen.add(closed)
-                    found_subs.append((gens, closed))
-        found_subs.sort(key=lambda item: (len(item[1]), item[1]))
-        subs.extend(found_subs)
-
+        subs = itertools.chain(subs, _closures(s, t.size))
     for gens, elems in subs:
         sub = s if gens is None else subsemigroup_table(s, elems)
         try:
@@ -735,6 +718,19 @@ def divides(
     if truncated:
         raise SearchCapError("division search truncated; result inconclusive")
     return None
+
+
+def _closures(s: FiniteSemigroup, min_size: int):
+    """Yields the proper closures of 1 to 3 generators with at least
+    ``min_size`` elements, as (first generators, elements) sorted by
+    (size, elements); a generator, so that :func:`divides` builds the list
+    only once the whole semigroup has missed."""
+    first = {}
+    for k in (1, 2, 3):
+        for gens in itertools.combinations(range(s.size), k):
+            first.setdefault(subsemigroup_closure(s, gens), gens)
+    subs = [(g, c) for c, g in first.items() if min_size <= len(c) < s.size]
+    yield from sorted(subs, key=lambda item: (len(item[1]), item[1]))
 
 
 # ---------------------------------------------------------------------------

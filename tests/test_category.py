@@ -289,6 +289,41 @@ def test_free_cap_counts_what_is_built(sizes, bound):
         free_semigroup_system(sizes, bound, cap=held - 1)
 
 
+@pytest.mark.parametrize(
+    "free",
+    [
+        free_semigroup_system([1], 10),
+        free_semigroup_system([1, 2], 4),
+        free_semigroup_system([], 3),
+        free_monoid_system(2, [[0, 1]], [[1, 0]], 3),
+        free_monoid_system(1, [], [], 4),
+    ],
+)
+def test_free_axiom_cap_counts_the_triples_walked(free):
+    from lamrho.category import _word_triples
+
+    shortest = 0 if free.unit else 1
+    counted = _word_triples(free.alphabet, shortest, free.bound, 10**6)
+    assert counted == free.check_axioms().instances
+
+
+def test_free_axiom_cap_applies_at_the_boundary():
+    # bound 10 over one one-point letter: 110 letters and coordinates pass
+    # either cap, and the axiom check walks C(10, 3) = 120 word triples
+    assert free_semigroup_system([1], 10, cap=120).check_axioms().instances == 120
+    with pytest.raises(SizeCapError, match="has at least 120 word triples to check, cap is 119$"):
+        free_semigroup_system([1], 10, cap=119).check_axioms()
+
+
+def test_free_axiom_cap_admits_the_bound_100_walk():
+    from lamrho.category import _word_triples
+
+    # free_semigroup_system([1], 100).check_axioms() walks 161,700 triples,
+    # under the default cap of 10**6
+    assert _word_triples(1, 1, 100, 10**6) == 161_700
+    assert _word_triples(1, 1, 999, 10**6) > 10**6
+
+
 def test_free_monoid_cap_counts_the_shared_set():
     # bound 1: one one-letter word, its two points and the three shared points
     free_monoid_system(3, [[0, 1]], [[0, 1]], bound=1, cap=1 + 2 + 3)

@@ -167,6 +167,27 @@ def test_divides(capsys, tmp_path):
     assert code == 1 and "absent" in out
 
 
+NON_ASSOCIATIVE = '{"size":4,"table":[[2,1,1,3],[2,0,3,0],[1,2,0,2],[3,1,2,2]]}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("iso", "--base", NON_ASSOCIATIVE, "--h", "z2"),
+        ("iso", "--base", "z2", "--h", NON_ASSOCIATIVE),
+        ("divides", "--base", NON_ASSOCIATIVE, "--h", "z2", "--quotient-only"),
+        ("divides", "--base", "l2_1", "--h", NON_ASSOCIATIVE),
+    ],
+)
+def test_iso_and_divides_validate_their_tables(capsys, argv):
+    # a magma is refused with its first non-associative triple before any
+    # congruence or isomorphism search runs on it
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == "not verified: not associative: (0*0)*1 = 2 but 0*(0*1) = 1\n"
+
+
 def test_corollary(capsys):
     code, out, _ = run(capsys, "corollary")
     assert code == 0
@@ -345,6 +366,18 @@ def test_free_cap_is_inconclusive(capsys):
     )
     code, _, _ = run(capsys, "free", "--sizes", "1,2", "--bound", "3", "--cap", "136")
     assert code == 0  # at the cap, not past it
+
+
+def test_free_axiom_walk_is_capped_before_it_runs(capsys):
+    # 999 * 1000 letters and coordinates pass the default cap, but the
+    # C(999, 3) = 1.7e8 word triples of the axiom check do not
+    code, out, err = run(capsys, "free", "--sizes", "1", "--bound", "999")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "inconclusive: free system of bound 999 has at least 1004731 word "
+        "triples to check, cap is 1000000\n"
+    )
 
 
 FREE_UNDER_RLIMIT = """

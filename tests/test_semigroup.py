@@ -353,6 +353,92 @@ def test_greedy_generators_matches_closure_from_scratch():
         assert greedy_generators(sg) == tuple(gens)
 
 
+def _all_products_closure(sg, gens):
+    """The generated subsemigroup from its definition: adjoin every product
+    of two members until none is new."""
+    closed = set(gens)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for y in list(closed):
+                for z in (sg.mul(x, y), sg.mul(y, x)):
+                    if z not in closed:
+                        closed.add(z)
+                        fresh.append(z)
+        frontier = fresh
+    return tuple(sorted(closed))
+
+
+def test_closure_matches_all_products_reference():
+    from lamrho.semigroup import greedy_generators
+
+    for sg in _small_semigroups():
+        for k in (1, 2, 3):
+            for gens in itertools.combinations(sg.elements(), k):
+                assert subsemigroup_closure(sg, gens) == _all_products_closure(sg, gens)
+        gens, closed = [], set()
+        for x in sg.elements():
+            if x not in closed:
+                gens.append(x)
+                closed = set(_all_products_closure(sg, gens))
+        assert greedy_generators(sg) == tuple(gens)
+
+
+def _relabelled(sg, perm):
+    rows = [[0] * sg.size for _ in sg.elements()]
+    for i in sg.elements():
+        for j in sg.elements():
+            rows[perm[i]][perm[j]] = perm[sg.mul(i, j)]
+    return FiniteSemigroup.from_rows(rows)
+
+
+def test_isomorphism_witness_is_least_in_generator_image_order():
+    # the documented contract: among all isomorphisms, the one whose tuple
+    # of images of greedy_generators(a) is least
+    from lamrho.semigroup import greedy_generators
+
+    pool = _small_semigroups()
+    pool_pairs = [(a, b) for a in pool for b in pool if a.size == b.size]
+    for a in pool:
+        perm = list(a.elements())
+        perm.reverse()
+        pool_pairs.append((a, _relabelled(a, perm)))
+        perm = perm[1:] + perm[:1]
+        pool_pairs.append((a, _relabelled(a, perm)))
+    for a, b in pool_pairs:
+        gens = greedy_generators(a)
+        isos = [
+            m for m in itertools.permutations(b.elements())
+            if all(
+                m[a.mul(x, y)] == b.mul(m[x], m[y])
+                for x in a.elements() for y in a.elements()
+            )
+        ]
+        least = min(isos, key=lambda m: tuple(m[g] for g in gens), default=None)
+        found = find_isomorphism(a, b)
+        assert (None if found is None else found.map) == least
+
+
+def test_divides_builds_no_closure_when_the_whole_semigroup_hits(monkeypatch):
+    import lamrho.semigroup as sgmod
+
+    calls = []
+
+    def counting_closure(sg, gens):
+        calls.append(gens)
+        return subsemigroup_closure(sg, gens)
+
+    monkeypatch.setattr(sgmod, "subsemigroup_closure", counting_closure)
+    s = product_table(Z2, builtin_system("flip_flop"))
+    witness = divides(L2_1, s)
+    assert witness is not None and witness.sub_generators is None
+    assert calls == []
+    # a miss on the whole semigroup does build the list
+    assert divides(R2, s) is None
+    assert len(calls) == 6 + 15 + 20
+
+
 def test_all_congruences_cap_counts_held_congruences():
     from lamrho import SearchCapError
 
@@ -469,6 +555,33 @@ def test_divides_witness_matches_full_lattice_search():
                     w.sub_generators, w.sub_elements, w.partition, w.iso.map
                 )
                 assert got == _divides_over_full_lattice(t, s, quotient_only)
+
+
+def test_divides_tries_the_smaller_closure_first():
+    # Z4 with a zero adjoined has no Z2 quotient, but two closures do: Z4,
+    # generated by 1, and {0, 2}, generated by 2. The smaller comes first.
+    rows = [[(i + j) % 4 for j in range(4)] + [4] for i in range(4)] + [[4] * 5]
+    s = validate_table(rows)
+    w = divides(Z2, s)
+    assert (w.sub_generators, w.sub_elements) == ((2,), (0, 2))
+    assert _divides_over_full_lattice(Z2, s, False)[:2] == ((2,), (0, 2))
+
+
+def test_extend_refuses_a_clash_and_a_repeated_image():
+    from lamrho.semigroup import _extend
+
+    # 1 -> 0 would send the Z2 generator's square 0 to 0 as well
+    assert not _extend(Z2.table, Z2.table, {}, [], 1, 0)
+    # 1 -> 1 in Z3 sends 1*1 = 0 to 2, and then 0*1 = 1 to 0, not 1
+    assert not _extend(Z2.table, Z3.table, {}, [], 1, 1)
+    phi = {}
+    assert _extend(Z3.table, Z3.table, phi, [], 1, 2)
+    assert phi == {0: 0, 1: 2, 2: 1}
+    # the identity map on a closure grows by the edges the new element adds
+    phi = {0: 0}
+    assert _extend(L2_1.table, L2_1.table, phi, [0], 1, 1)
+    assert phi == {0: 0, 1: 1}
+    assert not _extend(L2_1.table, L2_1.table, dict(phi), [0, 1], 2, 1)
 
 
 # ---------------------------------------------------------------------------
