@@ -1,9 +1,11 @@
 """Named system constructions and their independent product oracles.
 
 The builders turn actions into index-map systems; the oracles implement
-the wreath, two-sided wreath and block products directly from their own
-formulas, sharing no code with the product engine, so the two routes
-genuinely cross-check each other.
+the wreath, two-sided wreath and block products directly from the
+two-sided formula, sharing no code with the product engine, so the two
+routes genuinely cross-check each other. The wreath product is the
+two-sided one with the trivial left action; the block product uses the
+natural action of a semigroup on its own square.
 """
 
 from __future__ import annotations
@@ -197,68 +199,58 @@ def natural_two_sided_action(base: FiniteSemigroup) -> TwoSidedAction:
 # Independent oracles
 
 
+def _two_sided_table(
+    h: FiniteSemigroup, base: FiniteSemigroup, carrier: int, left, right, cap: int
+) -> FiniteSemigroup:
+    """(u, a) * (w, b) = ((u o left[b]) . (w o right[_][a]), ab), with
+    elements anchor-major and tuples lexicographic, the product-engine
+    order, so agreement is table identity. Each anchor pair is routed
+    once: the column p -> p/a per a, and the H-rows of u(b\\p) per (u, b).
+    """
+    n = base.size
+    block = h.size**carrier
+    total = n * block
+    if total > cap:
+        raise SizeCapError(f"product has {total} elements, cap is {cap}")
+    fiber = list(itertools.product(range(h.size), repeat=carrier))
+    index = {u: i for i, u in enumerate(fiber)}
+    table = []
+    for a in range(n):
+        col = [right[p][a] for p in range(carrier)]
+        for u in fiber:
+            row = []
+            for b in range(n):
+                hrows = [h.table[u[q]] for q in left[b]]
+                offset = base.mul(a, b) * block
+                row.extend(
+                    offset + index[tuple(r[w[c]] for r, c in zip(hrows, col))]
+                    for w in fiber
+                )
+            table.append(tuple(row))
+    names = tuple(
+        f"{a}:" + "".join(str(v) for v in u) for a in range(n) for u in fiber
+    )
+    return FiniteSemigroup(total, tuple(table), names)
+
+
 def wreath_oracle(
     h: FiniteSemigroup, action: RightAction, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> FiniteSemigroup:
-    """Wreath product of h by the action, straight from its formula:
-
-        (u, a) * (w, b) = (u . (w o (_*a)), ab)
-
-    Elements are ordered anchor-major with tuples lexicographic, matching
-    the product-engine convention, so agreement is table identity.
-    """
-    n = action.base.size
-    x = action.carrier
-    total = n * h.size**x
-    if total > cap:
-        raise SizeCapError(f"wreath product has {total} elements, cap is {cap}")
-    elems = [
-        (u, a)
-        for a in range(n)
-        for u in itertools.product(range(h.size), repeat=x)
-    ]
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for u, a in elems:
-        row = []
-        for w, b in elems:
-            z = tuple(h.mul(u[p], w[action.apply(p, a)]) for p in range(x))
-            row.append(index[(z, action.base.mul(a, b))])
-        table.append(tuple(row))
-    names = tuple(f"{a}:" + "".join(str(v) for v in u) for u, a in elems)
-    return FiniteSemigroup(total, tuple(table), names)
+    """Wreath product of h by the action, (u, a) * (w, b) = (u . (w o (_*a)), ab):
+    the two-sided product with the trivial left action."""
+    trivial_left = (tuple(range(action.carrier)),) * action.base.size
+    return _two_sided_table(
+        h, action.base, action.carrier, trivial_left, action.act, cap
+    )
 
 
 def two_sided_wreath_oracle(
     h: FiniteSemigroup, action: TwoSidedAction, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> FiniteSemigroup:
-    """Two-sided wreath product from its formula:
-
-        (u, a) * (w, b) = ((u o (b\\_)) . (w o (_/a)), ab)
-    """
-    n = action.base.size
-    x = action.carrier
-    total = n * h.size**x
-    if total > cap:
-        raise SizeCapError(f"product has {total} elements, cap is {cap}")
-    elems = [
-        (u, a)
-        for a in range(n)
-        for u in itertools.product(range(h.size), repeat=x)
-    ]
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for u, a in elems:
-        row = []
-        for w, b in elems:
-            z = tuple(
-                h.mul(u[action.left_apply(b, p)], w[action.right_apply(p, a)])
-                for p in range(x)
-            )
-            row.append(index[(z, action.base.mul(a, b))])
-        table.append(tuple(row))
-    names = tuple(f"{a}:" + "".join(str(v) for v in u) for u, a in elems)
-    return FiniteSemigroup(total, tuple(table), names)
+    """Two-sided wreath product, (u, a) * (w, b) = ((u o (b\\_)) . (w o (_/a)), ab)."""
+    return _two_sided_table(
+        h, action.base, action.carrier, action.left, action.right, cap
+    )
 
 
 def block_product_oracle(

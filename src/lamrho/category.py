@@ -274,6 +274,8 @@ Word = tuple[int, ...]
 
 def _words_up_to(alphabet: int, bound: int, include_empty: bool) -> tuple[Word, ...]:
     out: list[Word] = [()] if include_empty else []
+    if alphabet == 0:
+        return tuple(out)  # no letters: no word is longer than the empty one
     for length in range(1, bound + 1):
         out.extend(itertools.product(range(alphabet), repeat=length))
     return tuple(out)

@@ -148,6 +148,32 @@ def system_from_dict(obj, where="<memory>", base_dir=None) -> LrSystem:
         raise InputFormatError(where, "lambda/rho", str(exc)) from exc
 
 
+def _carrier(obj, where) -> int:
+    carrier = _require(obj, "carrier", where, int)
+    if carrier < 0:
+        raise InputFormatError(where, "carrier", f"{carrier} is negative")
+    return carrier
+
+
+def _action_table(obj, field, rows, width, carrier, where):
+    """An action table of ``rows`` rows of ``width`` carrier points; shape
+    errors are input errors, so only the action laws are left to verify."""
+    table = _int_matrix(_require(obj, field, where, list), field, where)
+    if len(table) != rows:
+        raise InputFormatError(where, field, f"{len(table)} rows, expected {rows}")
+    for i, row in enumerate(table):
+        if len(row) != width:
+            raise InputFormatError(
+                where, f"{field}[{i}]", f"{len(row)} entries, expected {width}"
+            )
+        for v in row:
+            if not 0 <= v < carrier:
+                raise InputFormatError(
+                    where, f"{field}[{i}]", f"value {v} is outside the carrier"
+                )
+    return tuple(tuple(r) for r in table)
+
+
 def right_action_to_dict(action: RightAction) -> dict:
     return {
         "carrier": action.carrier,
@@ -160,11 +186,11 @@ def right_action_from_dict(obj, where="<memory>", base_dir=None) -> RightAction:
     from .actions import RightAction
 
     base = _resolve_base(_require(obj, "base", where), where, base_dir)
-    carrier = _require(obj, "carrier", where, int)
-    act = _int_matrix(_require(obj, "act", where, list), "act", where)
+    carrier = _carrier(obj, where)
+    act = _action_table(obj, "act", carrier, base.size, carrier, where)
     # law violations propagate as ActionLawError: a well-formed but
     # invalid action is a verification failure, not a malformed file
-    return RightAction(base, carrier, tuple(tuple(r) for r in act))
+    return RightAction(base, carrier, act)
 
 
 def two_sided_action_to_dict(action: TwoSidedAction) -> dict:
@@ -180,15 +206,10 @@ def two_sided_action_from_dict(obj, where="<memory>", base_dir=None) -> TwoSided
     from .actions import TwoSidedAction
 
     base = _resolve_base(_require(obj, "base", where), where, base_dir)
-    carrier = _require(obj, "carrier", where, int)
-    left = _int_matrix(_require(obj, "left", where, list), "left", where)
-    right = _int_matrix(_require(obj, "right", where, list), "right", where)
-    return TwoSidedAction(
-        base,
-        carrier,
-        tuple(tuple(r) for r in left),
-        tuple(tuple(r) for r in right),
-    )
+    carrier = _carrier(obj, where)
+    left = _action_table(obj, "left", base.size, carrier, carrier, where)
+    right = _action_table(obj, "right", carrier, base.size, carrier, where)
+    return TwoSidedAction(base, carrier, left, right)
 
 
 def action_from_dict(obj, where="<memory>", base_dir=None):

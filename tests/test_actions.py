@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from lamrho import (
+    CATALOG,
     JOIN2,
     L2,
     R2,
     TRIVIAL,
+    SizeCapError,
     Z2,
     Z3,
     ActionLawError,
@@ -175,3 +179,45 @@ def test_monoid_unit_law_only_when_identity_exists():
     table = product_table(Z2, system)
     assert table.table == wreath_oracle(Z2, act).table
     assert identity_element(table) is not None
+
+
+def _all_tables(rows, width, carrier):
+    row_values = list(itertools.product(range(carrier), repeat=width))
+    return itertools.product(row_values, repeat=rows)
+
+
+def _lawful(build, *args):
+    try:
+        return build(*args)
+    except ActionLawError:
+        return None
+
+
+def test_engine_and_oracles_agree_on_every_small_action():
+    # every lawful action with carrier 0-2: one-sided over each catalog
+    # base, two-sided over each catalog base of at most 2 elements
+    cases = []
+    for base in CATALOG.values():
+        for c in range(3):
+            for act in _all_tables(c, base.size, c):
+                a = _lawful(RightAction, base, c, act)
+                if a is not None:
+                    cases.append((a, from_right_action, wreath_oracle))
+            if base.size > 2:
+                continue
+            for left in _all_tables(base.size, c, c):
+                for right in _all_tables(c, base.size, c):
+                    a = _lawful(TwoSidedAction, base, c, left, right)
+                    if a is not None:
+                        cases.append(
+                            (a, from_two_sided_action, two_sided_wreath_oracle)
+                        )
+    assert len(cases) == 37 + 81
+    for action, system, oracle in cases:
+        for h in (TRIVIAL, Z2, L2):
+            total = action.base.size * h.size**action.carrier
+            engine = product_table(h, system(action))
+            built = oracle(h, action, cap=total)
+            assert (built.table, built.names) == (engine.table, engine.names)
+            with pytest.raises(SizeCapError, match=f"product has {total} elements"):
+                oracle(h, action, cap=total - 1)

@@ -110,6 +110,26 @@ def test_validate_action_law_failure_is_verification_error(capsys):
     assert "not verified" in err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ('{"base": "z2", "carrier": -1, "act": []}', "carrier"),
+        ('{"base": "z2", "carrier": 1, "act": [[0]]}', "act[0]"),
+        ('{"base": "z2", "carrier": 1, "act": [[0, 1]]}', "act[0]"),
+        (
+            '{"base": "z2", "carrier": 2, "left": [[0, 1], [1, 0]],'
+            ' "right": [[0, 1], [1]]}',
+            "right[1]",
+        ),
+    ],
+)
+def test_malformed_action_is_input_error(capsys, doc, field):
+    # shape errors are caught at the reader; only law failures exit 1
+    code, out, err = run(capsys, "validate", "--action", doc)
+    assert code == 2
+    assert out == "" and f"field '{field}'" in err
+
+
 def test_validate_good_action(capsys):
     doc = json.dumps(
         {"carrier": 2, "base": "z2", "act": [[0, 1], [1, 0]]}
@@ -219,6 +239,20 @@ def test_free_monoid_mode(capsys):
     code, out, _ = run(capsys, "free", "--system", spec, "--bound", "3")
     assert code == 0
     assert "unital on truncated domain: True" in out
+
+
+def test_free_with_no_letters_stops_after_the_empty_word():
+    # with an empty alphabet only the empty word exists, whatever the bound
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    spec = '{"shared_size": 1, "lambda": [], "rho": []}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamrho.cli", "free", "--system", spec,
+         "--bound", "1000000"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "1 words" in proc.stdout
 
 
 def test_wreathize(capsys):
