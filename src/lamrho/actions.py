@@ -124,35 +124,36 @@ class TwoSidedAction:
 # System builders
 
 
-def empty_system(base: FiniteSemigroup) -> LrSystem:
-    """All index sets empty; the product collapses to the base itself."""
+def _action_system(base: FiniteSemigroup, carrier: int, left, right) -> LrSystem:
+    """Every fiber is the carrier; lam[a,b] = left[b] and rho[a,b] is the
+    column p -> right[p][a], worked out once per a. Shares no code with
+    the oracles, so the two routes cross-check each other."""
     n = base.size
-    empty = tuple(() for _ in range(n * n))
-    return validate_axioms(LrSystem(base, (0,) * n, empty, empty))
+    lam = tuple(map(tuple, left)) * n
+    rho = []
+    for a in range(n):
+        col = tuple(right[p][a] for p in range(carrier))
+        rho.extend((col,) * n)
+    return validate_axioms(LrSystem(base, (carrier,) * n, lam, tuple(rho)))
+
+
+def empty_system(base: FiniteSemigroup) -> LrSystem:
+    """All index sets empty, the action on no point; the product collapses
+    to the base itself."""
+    return _action_system(base, 0, ((),) * base.size, ())
 
 
 def singleton_system(base: FiniteSemigroup) -> LrSystem:
-    """All index sets a single point; the product is H x base."""
-    n = base.size
-    const = tuple((0,) for _ in range(n * n))
-    return validate_axioms(LrSystem(base, (1,) * n, const, const))
+    """All index sets a single point, the trivial action on it; the
+    product is H x base."""
+    return _action_system(base, 1, ((0,),) * base.size, ((0,) * base.size,))
 
 
 def from_right_action(action: RightAction) -> LrSystem:
     """Every fiber is the carrier; lam is the identity and rho[a,b] acts
     by a. Products over this system are wreath products."""
-    n = action.base.size
-    x = action.carrier
-    ident = tuple(range(x))
-    lam = tuple(ident for _ in range(n * n))
-    rho = tuple(
-        tuple(action.apply(p, a) for p in range(x))
-        for a in range(n)
-        for _b in range(n)
-    )
-    return validate_axioms(
-        LrSystem(action.base, (x,) * n, lam, rho)
-    )
+    ident = (tuple(range(action.carrier)),) * action.base.size
+    return _action_system(action.base, action.carrier, ident, action.act)
 
 
 def from_two_sided_action(action: TwoSidedAction) -> LrSystem:
@@ -162,21 +163,7 @@ def from_two_sided_action(action: TwoSidedAction) -> LrSystem:
     natural action of a semigroup on its own square this yields the block
     product.
     """
-    n = action.base.size
-    x = action.carrier
-    lam = tuple(
-        tuple(action.left_apply(b, p) for p in range(x))
-        for _a in range(n)
-        for b in range(n)
-    )
-    rho = tuple(
-        tuple(action.right_apply(p, a) for p in range(x))
-        for a in range(n)
-        for _b in range(n)
-    )
-    return validate_axioms(
-        LrSystem(action.base, (x,) * n, lam, rho)
-    )
+    return _action_system(action.base, action.carrier, action.left, action.right)
 
 
 def natural_two_sided_action(base: FiniteSemigroup) -> TwoSidedAction:

@@ -49,16 +49,7 @@ class SystemMorphism:
     def __post_init__(self):
         if self.source.base != self.target.base:
             raise ComposeMismatchError("morphism needs a common base semigroup")
-        n = self.source.base.size
-        if len(self.maps) != n:
-            raise MapRangeError("need one map per base element")
-        for a in range(n):
-            if len(self.maps[a]) != self.source.index_sizes[a]:
-                raise MapRangeError(f"map at {a} has the wrong length")
-            if any(
-                not 0 <= v < self.target.index_sizes[a] for v in self.maps[a]
-            ):
-                raise MapRangeError(f"map at {a} has out-of-range values")
+        self.as_transformation()  # shape checks
 
     def as_transformation(self) -> "Transformation":
         return Transformation(
@@ -218,23 +209,13 @@ def pullback_system(f: Homomorphism, system: LrSystem) -> LrSystem:
 
 def restrict(system: LrSystem, subset) -> tuple[LrSystem, Transformation]:
     """Restriction to a product-closed element set, with its canonical
-    arrow (inclusion on the base, identity index maps)."""
+    arrow (inclusion on the base, identity index maps): the pullback along
+    the inclusion."""
     elems = tuple(sorted(set(subset)))
     sub = subsemigroup_table(system.base, elems)  # raises NotClosedError
-    sizes = tuple(system.index_sizes[e] for e in elems)
-    lam = tuple(
-        system.lam_map(elems[i], elems[j])
-        for i in range(len(elems))
-        for j in range(len(elems))
-    )
-    rho = tuple(
-        system.rho_map(elems[i], elems[j])
-        for i in range(len(elems))
-        for j in range(len(elems))
-    )
-    restricted = validate_axioms(LrSystem(sub, sizes, lam, rho))
     inclusion = Homomorphism(sub, system.base, elems)
-    maps = tuple(tuple(range(k)) for k in sizes)
+    restricted = pullback_system(inclusion, system)
+    maps = tuple(tuple(range(k)) for k in restricted.index_sizes)
     arrow = validate_transformation(
         Transformation(system, restricted, inclusion, maps)
     )

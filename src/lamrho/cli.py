@@ -64,7 +64,7 @@ def _valid_semigroup(spec: str) -> FiniteSemigroup:
     from .semigroup import validate_table
 
     sg = resolve_semigroup(spec)
-    validate_table([list(r) for r in sg.table], sg.names)
+    validate_table(sg.table, sg.names)
     return sg
 
 
@@ -379,10 +379,8 @@ def _cmd_enumerate(args) -> int:
         if args.format == "json":
             print(json.dumps(serialize.system_to_dict(system)))
         else:
-            lam = {f"{a},{b}": list(system.lam_map(a, b))
-                   for a in base.elements() for b in base.elements()}
-            rho = {f"{a},{b}": list(system.rho_map(a, b))
-                   for a in base.elements() for b in base.elements()}
+            lam = serialize._pair_maps_to_dict(system, "lambda")
+            rho = serialize._pair_maps_to_dict(system, "rho")
             print(f"system {len(found)}: lambda={lam} rho={rho}")
     if args.format != "json":
         print(f"total: {len(found)} system(s), limit {limit}")

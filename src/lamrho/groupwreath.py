@@ -278,7 +278,7 @@ def _decomposition_branch(name, system, partition_classes, target):
     if not is_congruence(prod, part):
         raise NotACongruenceError(f"{name}: witness partition is not a congruence")
     quot = quotient(prod, part)
-    validate_table([list(r) for r in quot.table])  # re-validation cross-check
+    validate_table(quot.table)  # re-validation cross-check
     iso = find_isomorphism(quot, target)
     if iso is None:
         raise NotIsomorphicError(f"{name}: witness quotient is not isomorphic to the target")

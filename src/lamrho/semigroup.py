@@ -601,7 +601,9 @@ def find_isomorphism(
     by :func:`_extend`. Deterministic: first match in lexicographic order
     of generator images.
     """
-    return _find_isomorphism(a, b, cap, None)
+    if a.size == b.size > cap:
+        raise SizeCapError(f"isomorphism search capped at {cap} elements")
+    return _find_isomorphism(a, b, None)
 
 
 def _fingerprints(sg: FiniteSemigroup):
@@ -610,13 +612,12 @@ def _fingerprints(sg: FiniteSemigroup):
     return prints, sorted(prints)
 
 
-def _find_isomorphism(a, b, cap, b_prints) -> Homomorphism | None:
-    """:func:`find_isomorphism`, given ``_fingerprints(b)`` or None to
-    compute it; a caller with one target computes it once."""
+def _find_isomorphism(a, b, b_prints) -> Homomorphism | None:
+    """:func:`find_isomorphism` without its size cap, given
+    ``_fingerprints(b)`` or None to compute it; a caller with one target
+    computes it once."""
     if a.size != b.size:
         return None
-    if a.size > cap:
-        raise SizeCapError(f"isomorphism search capped at {cap} elements")
     fb, fb_sorted = _fingerprints(b) if b_prints is None else b_prints
     fa = [_element_fingerprint(a, i) for i in a.elements()]
     if sorted(fa) != fb_sorted:
@@ -674,7 +675,6 @@ def divides(
     s: FiniteSemigroup,
     quotient_only: bool = False,
     congruence_cap: int = DEFAULT_CONGRUENCE_CAP,
-    iso_cap: int = DEFAULT_ISO_CAP,
 ) -> DivisionWitness | None:
     """Search for a witness that t divides s.
 
@@ -691,7 +691,9 @@ def divides(
     order of :func:`all_congruences`. The lattice search keeps only
     congruences with at least |t| classes (the class-count floor of
     ``_congruences_above``), so ``congruence_cap`` counts only those: a
-    search that would hit the cap over the whole lattice may finish.
+    search that would hit the cap over the whole lattice may finish. Each
+    candidate quotient has |t| elements, and its isomorphism search onto t
+    runs uncapped.
     """
     if t.size > s.size:
         return None
@@ -712,7 +714,7 @@ def divides(
             if part.num_classes() != t.size:
                 continue
             q = quotient(sub, part)
-            iso = _find_isomorphism(q, t, iso_cap, t_prints)
+            iso = _find_isomorphism(q, t, t_prints)
             if iso is not None:
                 return DivisionWitness(gens, elems, part, iso)
     if truncated:

@@ -48,6 +48,12 @@ def _int_matrix(value, field, where):
     return value
 
 
+def _int_list(value, field, where):
+    if not isinstance(value, list) or not all(_is_int(v) for v in value):
+        raise InputFormatError(where, field, "expected a list of integers")
+    return value
+
+
 def semigroup_to_dict(sg: FiniteSemigroup) -> dict:
     out = {"size": sg.size, "table": [list(r) for r in sg.table]}
     if sg.names is not None:
@@ -117,11 +123,7 @@ def _pair_maps_from_dict(obj, field, n, where) -> dict:
             ) from None
         if not (0 <= a < n and 0 <= b < n):
             raise InputFormatError(where, f"{field}[{key}]", "pair out of range")
-        if not isinstance(seq, list) or not all(_is_int(v) for v in seq):
-            raise InputFormatError(
-                where, f"{field}[{key}]", "expected a list of integers"
-            )
-        out[(a, b)] = tuple(seq)
+        out[(a, b)] = tuple(_int_list(seq, f"{field}[{key}]", where))
     for a in range(n):
         for b in range(n):
             if (a, b) not in out:
@@ -234,14 +236,14 @@ def transformation_from_dict(
 ) -> Transformation:
     from .category import Transformation
 
-    h_map = _require(obj, "h", where, list)
+    h_map = _int_list(_require(obj, "h", where), "h", where)
     raw_t = _require(obj, "t", where, dict)
     maps = []
     for a in target.base.elements():
         key = str(a)
         if key not in raw_t:
             raise InputFormatError(where, f"t[{key}]", "missing")
-        maps.append(tuple(raw_t[key]))
+        maps.append(tuple(_int_list(raw_t[key], f"t[{key}]", where)))
     try:
         h = Homomorphism(target.base, source.base, tuple(h_map))
         return Transformation(source, target, h, tuple(maps))

@@ -311,6 +311,12 @@ def _candidates(slot, rng):
     8-byte code per map, shuffled once; the base-``codomain`` digits of a
     code, most significant first, are the map's values, so the shuffle
     permutes exactly the lexicographic list of maps.
+
+    Every slot's ``codomain**domain`` codes are shuffled here, before the
+    search starts, whatever the limit. A lazy draw cannot keep the stream
+    identical: ``random.shuffle`` settles position 0 only at its last
+    step, and its rejection-sampled draws set the generator state that
+    every later slot starts from.
     """
     codomain, domain = slot.codomain, slot.domain
     if slot.pinned is not None:

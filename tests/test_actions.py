@@ -7,6 +7,7 @@ from lamrho import (
     JOIN2,
     L2,
     R2,
+    LrSystem,
     TRIVIAL,
     SizeCapError,
     Z2,
@@ -221,3 +222,73 @@ def test_engine_and_oracles_agree_on_every_small_action():
             assert (built.table, built.names) == (engine.table, engine.names)
             with pytest.raises(SizeCapError, match=f"product has {total} elements"):
                 oracle(h, action, cap=total - 1)
+
+
+# Reference constructions: each builder written out on its own.
+
+
+def _reference_empty_system(base):
+    n = base.size
+    empty = tuple(() for _ in range(n * n))
+    return validate_axioms(LrSystem(base, (0,) * n, empty, empty))
+
+
+def _reference_singleton_system(base):
+    n = base.size
+    const = tuple((0,) for _ in range(n * n))
+    return validate_axioms(LrSystem(base, (1,) * n, const, const))
+
+
+def _reference_from_right_action(action):
+    n, x = action.base.size, action.carrier
+    lam = tuple(tuple(range(x)) for _ in range(n * n))
+    rho = tuple(
+        tuple(action.apply(p, a) for p in range(x))
+        for a in range(n)
+        for _b in range(n)
+    )
+    return validate_axioms(LrSystem(action.base, (x,) * n, lam, rho))
+
+
+def _reference_from_two_sided_action(action):
+    n, x = action.base.size, action.carrier
+    lam = tuple(
+        tuple(action.left_apply(b, p) for p in range(x))
+        for _a in range(n)
+        for b in range(n)
+    )
+    rho = tuple(
+        tuple(action.right_apply(p, a) for p in range(x))
+        for a in range(n)
+        for _b in range(n)
+    )
+    return validate_axioms(LrSystem(action.base, (x,) * n, lam, rho))
+
+
+def test_builders_match_the_reference_constructions():
+    # every lawful action with carrier 0-2 (one-sided over each catalog
+    # base, two-sided over each catalog base of at most 2 elements), the
+    # natural two-sided action of each catalog base, and the empty and
+    # singleton systems of each catalog base
+    right, two_sided = [], [natural_two_sided_action(b) for b in CATALOG.values()]
+    for base in CATALOG.values():
+        assert empty_system(base) == _reference_empty_system(base)
+        assert singleton_system(base) == _reference_singleton_system(base)
+        for c in range(3):
+            for act in _all_tables(c, base.size, c):
+                a = _lawful(RightAction, base, c, act)
+                if a is not None:
+                    right.append(a)
+            if base.size > 2:
+                continue
+            for left in _all_tables(base.size, c, c):
+                for rows in _all_tables(c, base.size, c):
+                    a = _lawful(TwoSidedAction, base, c, left, rows)
+                    if a is not None:
+                        two_sided.append(a)
+    assert (len(right), len(two_sided)) == (37, 8 + 81)
+    for action in right:
+        assert from_right_action(action) == _reference_from_right_action(action)
+    for action in two_sided:
+        built = from_two_sided_action(action)
+        assert built == _reference_from_two_sided_action(action)

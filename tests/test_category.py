@@ -10,6 +10,7 @@ from lamrho import (
     SizeCapError,
     Homomorphism,
     LrSystem,
+    MapRangeError,
     SquareViolationError,
     SystemMorphism,
     Transformation,
@@ -329,3 +330,61 @@ def test_free_monoid_cap_counts_the_shared_set():
     free_monoid_system(3, [[0, 1]], [[0, 1]], bound=1, cap=1 + 2 + 3)
     with pytest.raises(SizeCapError, match="holds 6 letters"):
         free_monoid_system(3, [[0, 1]], [[0, 1]], bound=1, cap=5)
+
+
+def _reference_restrict(system, subset):
+    # reference: the restriction and its arrow, reindexed by hand
+    from lamrho import subsemigroup_table
+
+    elems = tuple(sorted(set(subset)))
+    sub = subsemigroup_table(system.base, elems)
+    sizes = tuple(system.index_sizes[e] for e in elems)
+    pairs = [(a, b) for a in elems for b in elems]
+    lam = tuple(system.lam_map(a, b) for a, b in pairs)
+    rho = tuple(system.rho_map(a, b) for a, b in pairs)
+    restricted = validate_axioms(LrSystem(sub, sizes, lam, rho))
+    inclusion = Homomorphism(sub, system.base, elems)
+    maps = tuple(tuple(range(k)) for k in sizes)
+    return restricted, Transformation(system, restricted, inclusion, maps)
+
+
+def test_restrict_matches_the_reference_reindexing():
+    from lamrho import NotClosedError, Z3
+
+    systems = [
+        builtin_system(name) for name in ("flip_flop", "left_zero", "non_semidirect")
+    ]
+    systems.append(
+        validate_axioms(LrSystem(Z3, (1, 1, 1), ((0,),) * 9, ((0,),) * 9))
+    )
+    closed = refused = 0
+    for system in systems:
+        elems = system.base.elements()
+        for k in range(1, len(elems) + 1):
+            for subset in itertools.combinations(elems, k):
+                try:
+                    expected = _reference_restrict(system, subset)
+                except NotClosedError:
+                    refused += 1
+                    with pytest.raises(NotClosedError):
+                        restrict(system, subset)
+                    continue
+                closed += 1
+                assert restrict(system, subset) == expected
+    # every subset of the built-in bases is closed; over Z3 only {0} and
+    # the whole group are
+    assert (closed, refused) == (7 + 2, 5)
+
+
+@pytest.mark.parametrize(
+    "source, maps, error",
+    [
+        (FLIP, ((0,), (0, 1)), ComposeMismatchError),  # a different base
+        (LZ, (), MapRangeError),  # no map for the one base element
+        (LZ, ((0,),), MapRangeError),  # one point short
+        (LZ, ((0, 2),), MapRangeError),  # 2 is outside the target fiber
+    ],
+)
+def test_system_morphism_shape_errors(source, maps, error):
+    with pytest.raises(error):
+        SystemMorphism(source, LZ, maps)

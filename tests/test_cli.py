@@ -187,6 +187,20 @@ def test_divides(capsys, tmp_path):
     assert code == 1 and "absent" in out
 
 
+def test_divides_past_the_isomorphism_cap(capsys, tmp_path):
+    # a 64-element table divides itself; the quotient search is uncapped
+    from lamrho import JOIN2, RightAction, from_right_action
+
+    trivial = RightAction(JOIN2, 5, tuple((x, x) for x in range(5)))
+    big = product_table(Z2, from_right_action(trivial))
+    path = tmp_path / "p64.json"
+    serialize.dump_json(serialize.semigroup_to_dict(big), str(path))
+    code, out, _ = run(
+        capsys, "divides", "--base", str(path), "--h", str(path), "--quotient-only"
+    )
+    assert code == 0 and out.startswith("divides: quotient witness")
+
+
 NON_ASSOCIATIVE = '{"size":4,"table":[[2,1,1,3],[2,0,3,0],[1,2,0,2],[3,1,2,2]]}'
 
 
@@ -285,6 +299,16 @@ def test_enumerate_deterministic(capsys):
     )
     assert out1 == out2
     assert len(out1.splitlines()) == 7
+
+
+def test_enumerate_pretty_output(capsys):
+    code, out, _ = run(capsys, "enumerate", "--base", "join2", "--sizes", "1,1")
+    assert code == 0
+    assert out == (
+        "system 1: lambda={'0,0': [0], '0,1': [0], '1,0': [0], '1,1': [0]} "
+        "rho={'0,0': [0], '0,1': [0], '1,0': [0], '1,1': [0]}\n"
+        "total: 1 system(s), limit 100\n"
+    )
 
 
 def test_repeat_runs_are_byte_identical(capsys):

@@ -287,6 +287,20 @@ def test_divides_subsemigroup_route():
     assert witness is not None
 
 
+def test_divides_a_table_past_the_isomorphism_cap_by_itself():
+    # 64 elements, twice find_isomorphism's default cap: every semigroup
+    # divides itself, and the quotient search onto t runs uncapped
+    from lamrho import JOIN2, RightAction, from_right_action
+
+    trivial = RightAction(JOIN2, 5, tuple((x, x) for x in range(5)))
+    big = product_table(Z2, from_right_action(trivial))
+    assert big.size == 64
+    for quotient_only in (True, False):
+        witness = divides(big, big, quotient_only=quotient_only)
+        assert witness.sub_generators is None
+        assert witness.partition.num_classes() == 64
+
+
 def test_revalidation_of_constructions():
     flip = product_table(Z2, builtin_system("flip_flop"))
     validate_table([list(r) for r in flip.table])

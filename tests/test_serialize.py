@@ -93,6 +93,22 @@ def test_transformation_roundtrip():
     assert again == tr
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"h": [False, True], "t": {"0": [0], "1": [0, 1]}}, "h"),
+        ({"h": [0, 1], "t": {"0": [False], "1": [0, 1]}}, "t[0]"),
+        ({"h": [0, 1], "t": {"0": "a", "1": [0, 1]}}, "t[0]"),
+        ({"h": [0, 1], "t": {"0": 5, "1": [0, 1]}}, "t[0]"),
+    ],
+)
+def test_transformation_reader_checks_integers(doc, field):
+    flip = builtin_system("flip_flop")
+    with pytest.raises(InputFormatError) as info:
+        serialize.transformation_from_dict(doc, flip, flip)
+    assert info.value.field == field
+
+
 def test_partition_from_obj():
     part = serialize.partition_from_obj([[0, 1], [2, 5], [3, 4]], 6)
     assert part.num_classes() == 3
