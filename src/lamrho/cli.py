@@ -6,6 +6,12 @@ verification failure (the witness is printed), 2 on usage or input
 errors. Commands that randomise accept --seed and are reproducible given
 it; repeated runs with identical arguments produce identical bytes.
 
+One table, ``_COMMANDS``, gives each command its handler, its help, the
+flags it requires, the flags it may take and its --cap default. A flag the
+command does not read, an abbreviated flag, a missing required flag and
+both flags of an exclusive pair are usage errors. A standard output that
+its reader has closed is an input error.
+
 Each command imports the library modules it calls, inside the branch that
 calls them, so a run loads no more of the package than its command needs.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -27,6 +34,8 @@ from .errors import (
 DEFAULT_ENUM_LIMIT = 100
 # product.DEFAULT_UNIVERSE_CAP, written out so that parsing loads no engine
 DEFAULT_UNIVERSE_CAP = 10**6
+# semigroup.DEFAULT_ISO_CAP, written out so that parsing loads no engine
+DEFAULT_ISO_CAP = 32
 
 
 def _looks_inline(text: str) -> bool:
@@ -157,12 +166,7 @@ def _cmd_product(args) -> int:
     from .product import product_table
     from .system import validate_axioms
 
-    spec = args.base or args.system
-    if not spec:
-        raise InputFormatError("<args>", "--base", "a system is required")
-    if not args.h:
-        raise InputFormatError("<args>", "--h", "a coefficient semigroup is required")
-    system = validate_axioms(resolve_system(spec))
+    system = validate_axioms(resolve_system(args.base))
     h = _valid_semigroup(args.h)
     table = product_table(h, system, cap=args.cap)
     _emit(args, lambda: render_table(table), serialize.semigroup_to_dict(table))
@@ -173,10 +177,6 @@ def _cmd_quotient(args) -> int:
     from . import serialize
     from .semigroup import quotient
 
-    if not args.base:
-        raise InputFormatError("<args>", "--base", "a semigroup is required")
-    if not args.partition:
-        raise InputFormatError("<args>", "--partition", "a partition is required")
     sg = _valid_semigroup(args.base)
     part = serialize.partition_from_obj(_json_arg(args.partition), sg.size)
     q = quotient(sg, part)
@@ -187,11 +187,9 @@ def _cmd_quotient(args) -> int:
 def _cmd_iso(args) -> int:
     from .semigroup import find_isomorphism
 
-    if not (args.base and args.h):
-        raise InputFormatError("<args>", "--base/--h", "two semigroups are required")
     a = _valid_semigroup(args.base)
     b = _valid_semigroup(args.h)
-    iso = find_isomorphism(a, b, cap=32 if args.cap is None else args.cap)
+    iso = find_isomorphism(a, b, cap=args.cap)
     if iso is None:
         print("absent: no isomorphism")
         return 1
@@ -202,10 +200,6 @@ def _cmd_iso(args) -> int:
 def _cmd_divides(args) -> int:
     from .semigroup import divides
 
-    if not (args.base and args.h):
-        raise InputFormatError(
-            "<args>", "--base/--h", "need the ambient (--base) and candidate (--h)"
-        )
     s = _valid_semigroup(args.base)
     t = _valid_semigroup(args.h)
     kwargs = {}
@@ -272,7 +266,7 @@ def _cmd_examples(args) -> int:
 def _cmd_free(args) -> int:
     from .category import free_monoid_system, free_semigroup_system
 
-    if args.system:
+    if args.sizes is None:
         from . import serialize
 
         raw = _json_arg(args.system)
@@ -286,10 +280,8 @@ def _cmd_free(args) -> int:
             args.bound,
             cap=args.cap,
         )
-    elif args.sizes:
-        free = free_semigroup_system(_parse_sizes(args.sizes), args.bound, cap=args.cap)
     else:
-        raise InputFormatError("<args>", "--sizes/--system", "nothing to build")
+        free = free_semigroup_system(_parse_sizes(args.sizes), args.bound, cap=args.cap)
     report = free.check_axioms()
     payload = {
         "mode": "monoid" if free.unit else "semigroup",
@@ -327,8 +319,6 @@ def _cmd_wreathize(args) -> int:
     from .groupwreath import verify_wreath_iso, wreathize
     from .system import validate_axioms
 
-    if not args.system:
-        raise InputFormatError("<args>", "--system", "a system is required")
     system = validate_axioms(resolve_system(args.system))
     action, arrow = wreathize(system)
     report = verify_wreath_iso(resolve_semigroup("z2"), system, cap=args.cap)
@@ -366,15 +356,10 @@ def _cmd_enumerate(args) -> int:
     from . import serialize
     from .system import enumerate_systems
 
-    if not args.base:
-        raise InputFormatError("<args>", "--base", "a base semigroup is required")
-    if not args.sizes:
-        raise InputFormatError("<args>", "--sizes", "index sizes are required")
     base = _valid_semigroup(args.base)
     sizes = _parse_sizes(args.sizes)
-    limit = DEFAULT_ENUM_LIMIT if args.cap is None else args.cap
     found = []
-    for system in enumerate_systems(base, sizes, limit=limit, seed=args.seed):
+    for system in enumerate_systems(base, sizes, limit=args.cap, seed=args.seed):
         found.append(system)
         if args.format == "json":
             print(json.dumps(serialize.system_to_dict(system)))
@@ -383,7 +368,7 @@ def _cmd_enumerate(args) -> int:
             rho = serialize._pair_maps_to_dict(system, "rho")
             print(f"system {len(found)}: lambda={lam} rho={rho}")
     if args.format != "json":
-        print(f"total: {len(found)} system(s), limit {limit}")
+        print(f"total: {len(found)} system(s), limit {args.cap}")
     if args.out:
         serialize.dump_json(
             [serialize.system_to_dict(s) for s in found], args.out
@@ -391,17 +376,47 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "product": _cmd_product,
-    "quotient": _cmd_quotient,
-    "iso": _cmd_iso,
-    "divides": _cmd_divides,
-    "examples": _cmd_examples,
-    "free": _cmd_free,
-    "wreathize": _cmd_wreathize,
-    "corollary": _cmd_corollary,
-    "enumerate": _cmd_enumerate,
+# Each flag's add_argument keywords, written once.
+_FLAGS = {
+    "base": {"help": "semigroup (or system, for product)"},
+    "h": {"help": "coefficient or candidate semigroup"},
+    "system": {"help": "index-map system"},
+    "action": {"help": "action document"},
+    "partition": {"help": "partition (path or inline JSON)"},
+    "bound": {"type": int, "default": 3, "help": "word length bound"},
+    "seed": {"type": int, "help": "random seed"},
+    "cap": {"type": _positive_int, "help": "size or search cap (positive)"},
+    "sizes": {"help": "comma-separated fiber sizes"},
+    "quotient-only": {"action": "store_true",
+                      "help": "restrict division search to quotients of the ambient semigroup"},
+    "format": {"choices": ("pretty", "json"), "default": "pretty"},
+    "out": {"help": "write the JSON artifact to this path"},
+}
+
+# command: (handler, help, required flags, optional flags, --cap default).
+# A tuple of flags is an exclusive group: exactly one of them when
+# required, at most one when optional. A command accepts no other flag.
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate a semigroup table, system or action",
+                 (), ("base", "system", "action"), None),
+    "product": (_cmd_product, "multiply a coefficient semigroup over a system",
+                ("base", "h"), ("cap", "format", "out"), DEFAULT_UNIVERSE_CAP),
+    "quotient": (_cmd_quotient, "quotient a semigroup by a congruence",
+                 ("base", "partition"), ("format", "out"), None),
+    "iso": (_cmd_iso, "search for an isomorphism between two semigroups",
+            ("base", "h"), ("cap", "format", "out"), DEFAULT_ISO_CAP),
+    "divides": (_cmd_divides, "search for a division witness (--h divides --base)",
+                ("base", "h"), ("cap", "quotient-only", "format", "out"), None),
+    "examples": (_cmd_examples, "list or dump built-in semigroups and systems",
+                 (), (("base", "system"), "format", "out"), None),
+    "free": (_cmd_free, "build a bounded free system and check it",
+             (("system", "sizes"),), ("bound", "cap", "format", "out"), DEFAULT_UNIVERSE_CAP),
+    "wreathize": (_cmd_wreathize, "derive the action form of a unital group system",
+                  ("system",), ("cap", "format", "out"), DEFAULT_UNIVERSE_CAP),
+    "corollary": (_cmd_corollary, "verify the two worked decomposition witnesses",
+                  (), ("format", "out"), None),
+    "enumerate": (_cmd_enumerate, "stream systems over a base with given fiber sizes",
+                  ("base", "sizes"), ("cap", "seed", "format", "out"), DEFAULT_ENUM_LIMIT),
 }
 
 
@@ -411,41 +426,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite semigroup and index-map system workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "validate": "validate a semigroup table, system or action",
-        "product": "multiply a coefficient semigroup over a system",
-        "quotient": "quotient a semigroup by a congruence",
-        "iso": "search for an isomorphism between two semigroups",
-        "divides": "search for a division witness (--h divides --base)",
-        "examples": "list or dump built-in semigroups and systems",
-        "free": "build a bounded free system and check it",
-        "wreathize": "derive the action form of a unital group system",
-        "corollary": "verify the two worked decomposition witnesses",
-        "enumerate": "stream systems over a base with given fiber sizes",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--base", help="semigroup (or system, for product)")
-        p.add_argument("--h", help="coefficient or candidate semigroup")
-        p.add_argument("--system", help="index-map system")
-        p.add_argument("--action", help="action document")
-        p.add_argument("--partition", help="partition (path or inline JSON)")
-        p.add_argument("--bound", type=int, default=3, help="word length bound")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument(
-            "--cap", type=_positive_int, default=None, help="size or search cap (positive)"
-        )
-        p.add_argument("--sizes", help="comma-separated fiber sizes")
-        p.add_argument(
-            "--quotient-only",
-            action="store_true",
-            dest="quotient_only",
-            help="restrict division search to quotients of the ambient semigroup",
-        )
-        p.add_argument(
-            "--format", choices=("pretty", "json"), default="pretty"
-        )
-        p.add_argument("--out", help="write the JSON artifact to this path")
+    for name, (handler, help_text, required, optional, cap) in _COMMANDS.items():
+        # no abbreviated flags: an unread --h would otherwise mean --help
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, needed in [(f, True) for f in required] + [(f, False) for f in optional]:
+            if isinstance(flag, tuple):
+                group = p.add_mutually_exclusive_group(required=needed)
+                for member in flag:
+                    group.add_argument(f"--{member}", **_FLAGS[member])
+            else:
+                p.add_argument(f"--{flag}", required=needed, **_FLAGS[flag])
+        p.set_defaults(handler=handler, cap=cap)
     return parser
 
 
@@ -455,10 +446,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if args.cap is None and args.command in ("product", "wreathize", "free"):
-        args.cap = DEFAULT_UNIVERSE_CAP
     try:
-        return _HANDLERS[args.command](args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # the reader has gone: the flush at exit writes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"input error: <stdout>: field '<file>': {exc.strerror}", file=sys.stderr)
+        return 2
     except (InputFormatError, MapRangeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -468,3 +468,167 @@ def test_free_cap_applies_before_allocation(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("inconclusive: free system of bound")
     assert "cap is 1000000" in proc.stderr
+
+
+# The flags each command reads, kept here rather than read from the parser
+# table so that a change to either shows up as a failure.
+READS = {
+    "validate": ("--base", "--system", "--action"),
+    "product": ("--base", "--h", "--cap", "--format", "--out"),
+    "quotient": ("--base", "--partition", "--format", "--out"),
+    "iso": ("--base", "--h", "--cap", "--format", "--out"),
+    "divides": ("--base", "--h", "--cap", "--quotient-only", "--format", "--out"),
+    "examples": ("--base", "--system", "--format", "--out"),
+    "free": ("--system", "--sizes", "--bound", "--cap", "--format", "--out"),
+    "wreathize": ("--system", "--cap", "--format", "--out"),
+    "corollary": ("--format", "--out"),
+    "enumerate": ("--base", "--sizes", "--cap", "--seed", "--format", "--out"),
+}
+# the flags a command cannot run without; a tuple means exactly one of them
+REQUIRED = {
+    "product": ("--base", "--h"),
+    "quotient": ("--base", "--partition"),
+    "iso": ("--base", "--h"),
+    "divides": ("--base", "--h"),
+    "free": (("--system", "--sizes"),),
+    "wreathize": ("--system",),
+    "enumerate": ("--base", "--sizes"),
+}
+# flags a command reads, but never both at once
+EXCLUSIVE = {"examples": ("--base", "--system"), "free": ("--system", "--sizes")}
+SAMPLE = {
+    "--base": "z2", "--h": "z2", "--system": "lzero_system", "--action": "a.json",
+    "--partition": "[[0,1]]", "--bound": "3", "--seed": "1", "--cap": "5",
+    "--sizes": "1", "--quotient-only": None, "--format": "json", "--out": "o.json",
+}
+ALL_FLAGS = sorted(SAMPLE)
+
+
+def minimal_argv(command, flag=None):
+    """The command with its required flags, choosing ``flag`` from a group."""
+    argv = [command]
+    for item in REQUIRED.get(command, ()):
+        chosen = (flag if flag in item else item[0]) if isinstance(item, tuple) else item
+        argv += [chosen, SAMPLE[chosen]]
+    return argv
+
+
+def with_flag(argv, flag):
+    if flag in argv:
+        return argv
+    return argv + [flag] + ([] if SAMPLE[flag] is None else [SAMPLE[flag]])
+
+
+def parses(argv):
+    from lamrho.cli import build_parser
+
+    try:
+        return build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"{argv} exited {exc.code}")
+
+
+def test_flag_tables_cover_every_command():
+    from lamrho.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == sorted(READS)
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c in sorted(READS) for f in READS[c]]
+)
+def test_each_command_accepts_the_flags_it_reads(command, flag):
+    args = parses(with_flag(minimal_argv(command, flag), flag))
+    dest = flag[2:].replace("-", "_")
+    expected = True if SAMPLE[flag] is None else SAMPLE[flag]
+    if flag in ("--bound", "--seed", "--cap"):
+        expected = int(expected)
+    assert getattr(args, dest) == expected
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in sorted(READS) for f in ALL_FLAGS if f not in READS[c]],
+)
+def test_each_command_refuses_the_flags_it_does_not_read(capsys, command, flag):
+    # no flag is accepted and then dropped; an unread --h is no --help
+    argv = with_flag(minimal_argv(command), flag)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    assert "unrecognized arguments" in err
+
+
+def test_abbreviated_flags_are_usage_errors(capsys):
+    code, out, err = run(capsys, "iso", "--ba", "z2", "--h", "z2")
+    assert code == 2 and out == ""
+    code, out, _ = run(capsys, "divides", "--base", "l2_1", "--h", "l2", "--quotient")
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize(
+    "command,item", [(c, i) for c in sorted(REQUIRED) for i in REQUIRED[c]]
+)
+def test_a_missing_required_flag_is_a_usage_error(capsys, command, item):
+    argv = minimal_argv(command)
+    for flag in item if isinstance(item, tuple) else (item,):
+        if flag in argv:
+            i = argv.index(flag)
+            del argv[i:i + 2]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+    if isinstance(item, tuple):
+        assert f"one of the arguments {' '.join(item)} is required" in err
+    else:
+        assert f"the following arguments are required: {item}" in err
+
+
+@pytest.mark.parametrize("command", sorted(EXCLUSIVE))
+def test_both_flags_of_an_exclusive_pair_are_a_usage_error(capsys, command):
+    first, second = EXCLUSIVE[command]
+    argv = with_flag(with_flag(minimal_argv(command), first), second)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "not allowed with argument" in err
+
+
+def test_each_command_sets_its_cap_default():
+    # each command's --cap default is set by the parser; divides leaves
+    # None so that the library's own default applies
+    assert parses(["iso", "--base", "z2", "--h", "z2"]).cap == 32
+    assert parses(["enumerate", "--base", "z2", "--sizes", "1"]).cap == 100
+    assert parses(["divides", "--base", "z2", "--h", "z2"]).cap is None
+    for argv in (["product", "--base", "x", "--h", "x"], ["wreathize", "--system", "x"],
+                 ["free", "--sizes", "1"]):
+        assert parses(argv).cap == 10**6
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("iso", "--base", "z2", "--h", "z2"),
+        ("examples",),
+        ("product", "--base", "flipflop_system", "--h", "z2"),
+        ("enumerate", "--base", "trivial", "--sizes", "2"),
+    ],
+)
+def test_closed_stdout_is_an_input_error(argv, unbuffered):
+    # the reader closes the pipe before the child writes: exit 2, one line
+    # on standard error, no traceback from print or from the flush at exit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lamrho.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "input error: <stdout>: field '<file>': Broken pipe\n"

@@ -92,6 +92,12 @@ def test_cli_default_cap_is_the_universe_cap():
     assert cli.DEFAULT_UNIVERSE_CAP == product.DEFAULT_UNIVERSE_CAP
 
 
+def test_cli_iso_cap_is_the_library_iso_cap():
+    from lamrho import cli, semigroup
+
+    assert cli.DEFAULT_ISO_CAP == semigroup.DEFAULT_ISO_CAP
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="nope"):
         lamrho.nope  # noqa: B018
