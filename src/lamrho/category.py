@@ -29,7 +29,9 @@ from .errors import (
     SizeCapError,
     SquareViolationError,
 )
-from .product import DEFAULT_UNIVERSE_CAP, _encoder, product_table, universe
+from .product import (
+    DEFAULT_UNIVERSE_CAP, _encoder, _product_hom, _route, product_table, universe,
+)
 from .semigroup import FiniteSemigroup, Homomorphism, subsemigroup_table
 from .system import LrSystem, _axiom_walk, validate_axioms
 
@@ -239,12 +241,11 @@ def induced_hom(
     arrow: (x, a) |-> (x o t[a], h(a)). Contravariant in the arrow."""
     domain = product_table(h_sg, tr.target, cap=cap)
     codomain = product_table(h_sg, tr.source, cap=cap)
-    encode = _encoder(h_sg, tr.source)
-    mapping = []
-    for p in universe(h_sg, tr.target, cap=cap):
-        a = p.anchor
-        mapping.append(encode(tr.h(a), tuple(p.values[v] for v in tr.maps[a])))
-    return Homomorphism(domain, codomain, tuple(mapping))
+    images = (
+        (tr.h(p.anchor), tuple(p.values[v] for v in tr.maps[p.anchor]))
+        for p in universe(h_sg, tr.target, cap=cap)
+    )
+    return _product_hom(domain, codomain, h_sg, tr.source, images)
 
 
 # ---------------------------------------------------------------------------
@@ -670,10 +671,7 @@ def induced_free_hom(
                 ix = image_index(x, w)
                 for y in itertools.product(range(h_sg.size), repeat=ku):
                     pairs += 1
-                    z = tuple(
-                        h_sg.mul(x[lam[i]], y[rho[i]])
-                        for i in range(free.fiber_size(wu))
-                    )
+                    z = _route(h_sg, lam, rho, x, y)
                     if image_index(z, wu) != target.mul(ix, image_index(y, u)):
                         homomorphic = False
     return FreeInducedHom(

@@ -114,6 +114,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _spec(text: str) -> str:
+    # an empty name, path or document is refused, not read as an absent flag
+    if not text:
+        raise argparse.ArgumentTypeError("expected a name, a path or inline JSON, got ''")
+    return text
+
+
 def render_table(sg: FiniteSemigroup) -> str:
     names = [sg.name_of(i) for i in sg.elements()]
     width = max(len(n) for n in names + ["*"]) + 2
@@ -140,13 +147,13 @@ def _emit(args, text_render, json_obj) -> None:
 
 
 def _cmd_validate(args) -> int:
-    if not (args.base or args.system or args.action):
+    if args.base is None and args.system is None and args.action is None:
         raise InputFormatError("<args>", "--base/--system/--action", "nothing to validate")
     status = 0
-    if args.base:
+    if args.base is not None:
         sg = _valid_semigroup(args.base)
         print(f"semigroup ok: {sg.size} elements")
-    if args.system:
+    if args.system is not None:
         from .system import validate_axioms
 
         system = resolve_system(args.system)
@@ -155,7 +162,7 @@ def _cmd_validate(args) -> int:
             "system ok: base size "
             f"{system.base.size}, index sizes {list(system.index_sizes)}"
         )
-    if args.action:
+    if args.action is not None:
         action = resolve_action(args.action)
         print(f"action ok: carrier {action.carrier} over base {action.base.size}")
     return status
@@ -233,11 +240,11 @@ def _cmd_divides(args) -> int:
 def _cmd_examples(args) -> int:
     from . import serialize
 
-    if args.base:
+    if args.base is not None:
         sg = resolve_semigroup(args.base)
         _emit(args, lambda: render_table(sg), serialize.semigroup_to_dict(sg))
         return 0
-    if args.system:
+    if args.system is not None:
         system = resolve_system(args.system)
         _emit(
             args,
@@ -378,11 +385,11 @@ def _cmd_enumerate(args) -> int:
 
 # Each flag's add_argument keywords, written once.
 _FLAGS = {
-    "base": {"help": "semigroup (or system, for product)"},
-    "h": {"help": "coefficient or candidate semigroup"},
-    "system": {"help": "index-map system"},
-    "action": {"help": "action document"},
-    "partition": {"help": "partition (path or inline JSON)"},
+    "base": {"type": _spec, "help": "semigroup (or system, for product)"},
+    "h": {"type": _spec, "help": "coefficient or candidate semigroup"},
+    "system": {"type": _spec, "help": "index-map system"},
+    "action": {"type": _spec, "help": "action document"},
+    "partition": {"type": _spec, "help": "partition (path or inline JSON)"},
     "bound": {"type": int, "default": 3, "help": "word length bound"},
     "seed": {"type": int, "help": "random seed"},
     "cap": {"type": _positive_int, "help": "size or search cap (positive)"},
@@ -436,14 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
                     group.add_argument(f"--{member}", **_FLAGS[member])
             else:
                 p.add_argument(f"--{flag}", required=needed, **_FLAGS[flag])
-        p.set_defaults(handler=handler, cap=cap)
+        p.set_defaults(handler=handler, cap=cap, usage_error=p.error)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # reported with the command's own usage, not the top level's
+            args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -17,11 +17,12 @@ from .actions import RightAction, from_right_action, wreath_oracle
 from .category import Transformation, is_system_isomorphism, validate_transformation
 from .errors import (
     NotACongruenceError,
+    NotAHomomorphismError,
     NotGroupPreservingError,
     NotIsomorphicError,
     SizeCapError,
 )
-from .product import DEFAULT_UNIVERSE_CAP, _encoder, product_table
+from .product import DEFAULT_UNIVERSE_CAP, _product_hom, product_table
 from .semigroup import (
     L2_1,
     L2,
@@ -80,6 +81,18 @@ def _inverse(seq) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _unit_fiber_action(system: LrSystem) -> tuple[tuple[int, ...], ...]:
+    """The rows act[i][g] = rho[g,e](inverse(lam[e,g])(i)) over the unit
+    fiber; meaningful once every lam[e,g] is a bijection."""
+    base = system.base
+    e = identity_element(base)
+    inv_lam = [_inverse(system.lam_map(e, g)) for g in base.elements()]
+    return tuple(
+        tuple(system.rho_map(g, e)[inv_lam[g][i]] for g in base.elements())
+        for i in range(system.index_sizes[e])
+    )
+
+
 def derive_action(system: LrSystem) -> RightAction:
     """The right action of the base group on the unit fiber:
 
@@ -92,16 +105,8 @@ def derive_action(system: LrSystem) -> RightAction:
     check = check_bijectivity(system)
     if not check:
         raise NotGroupPreservingError(f"index map not bijective: {check.witness}")
-    base = system.base
-    e = identity_element(base)
-    x = system.index_sizes[e]
-    act_rows = []
-    inv_lam = {g: _inverse(system.lam_map(e, g)) for g in base.elements()}
-    for i in range(x):
-        act_rows.append(
-            tuple(system.rho_map(g, e)[inv_lam[g][i]] for g in base.elements())
-        )
-    return RightAction(base, x, tuple(act_rows))
+    act = _unit_fiber_action(system)
+    return RightAction(system.base, len(act), act)
 
 
 def composite_action_identity_holds(system: LrSystem) -> bool:
@@ -114,19 +119,13 @@ def composite_action_identity_holds(system: LrSystem) -> bool:
     checked directly as composed maps.
     """
     base = system.base
-    e = identity_element(base)
-    inv_lam = {g: _inverse(system.lam_map(e, g)) for g in base.elements()}
-
-    def step(g, i):
-        return system.rho_map(g, e)[inv_lam[g][i]]
-
-    for g in base.elements():
-        for h in base.elements():
-            gh = base.mul(g, h)
-            for i in range(system.index_sizes[e]):
-                if step(h, step(g, i)) != step(gh, i):
-                    return False
-    return True
+    act = _unit_fiber_action(system)
+    return all(
+        act[act[i][g]][h] == act[i][base.mul(g, h)]
+        for g in base.elements()
+        for h in base.elements()
+        for i in range(len(act))
+    )
 
 
 def wreathize(system: LrSystem) -> tuple[RightAction, Transformation]:
@@ -174,7 +173,8 @@ def verify_wreath_iso(
 
     Route one finds an isomorphism by search; route two builds the
     explicit element map (u, g) |-> (u o lam[e,g], g) from the wreathize
-    arrow and verifies it directly. The two routes must agree.
+    arrow and checks it as a Homomorphism that is bijective. The two
+    routes must agree.
     """
     if not is_group(h_sg):
         raise NotGroupPreservingError("coefficient semigroup must be a group")
@@ -187,21 +187,17 @@ def verify_wreath_iso(
     group_ok = is_group(prod)
     search_ok = find_isomorphism(oracle, prod, cap=max(prod.size, 1)) is not None
 
-    # explicit route: oracle elements are (u, g) with u over the carrier
-    encode = _encoder(h_sg, system)
-    base = system.base
-    e = identity_element(base)
-    mapping = []
-    for g in base.elements():
-        lam_eg = system.lam_map(e, g)
-        for u in itertools.product(range(h_sg.size), repeat=action.carrier):
-            values = tuple(u[lam_eg[i]] for i in range(system.index_sizes[g]))
-            mapping.append(encode(g, values))
-    construction_ok = len(set(mapping)) == prod.size and all(
-        mapping[oracle.mul(i, j)] == prod.mul(mapping[i], mapping[j])
-        for i in range(oracle.size)
-        for j in range(oracle.size)
+    # explicit route: oracle elements are (u, g) with u over the carrier,
+    # and the arrow's maps[g] are the lam[e,g]
+    images = (
+        (g, tuple(u[i] for i in arrow.maps[g]))
+        for g in system.base.elements()
+        for u in itertools.product(range(h_sg.size), repeat=action.carrier)
     )
+    try:
+        construction_ok = _product_hom(oracle, prod, h_sg, system, images).is_bijective()
+    except NotAHomomorphismError:
+        construction_ok = False
     return WreathIsoReport(group_ok, search_ok, construction_ok)
 
 

@@ -114,14 +114,13 @@ def multiply(
 ) -> ProductElement:
     """One product step; works for any shape-valid system."""
     a, b = p.anchor, q.anchor
-    ab = system.base.mul(a, b)
-    lam = system.lam_map(a, b)
-    rho = system.rho_map(a, b)
-    values = tuple(
-        h.mul(p.values[lam[i]], q.values[rho[i]])
-        for i in range(system.index_sizes[ab])
-    )
-    return ProductElement(ab, values)
+    values = _route(h, system.lam_map(a, b), system.rho_map(a, b), p.values, q.values)
+    return ProductElement(system.base.mul(a, b), values)
+
+
+def _route(h: FiniteSemigroup, lam, rho, x, y) -> tuple[int, ...]:
+    """The values of the product: coordinate i is x[lam[i]] * y[rho[i]] in H."""
+    return tuple(h.mul(x[l], y[r]) for l, r in zip(lam, rho))
 
 
 def _rows(h: FiniteSemigroup, system: LrSystem, offsets) -> tuple[tuple[int, ...], ...]:
@@ -225,9 +224,10 @@ def associativity_oracle(
     )
 
 
-def _letters_with_identity(system: LrSystem, zero_kind: str) -> FiniteSemigroup:
+def _letters_with_identity(system: LrSystem, zero_kind: str) -> tuple[FiniteSemigroup, dict]:
     """Left- or right-zero semigroup on the disjoint union of all index
-    sets, with a fresh identity adjoined at index 0."""
+    sets, with a fresh identity adjoined at index 0, and the index of each
+    letter (s, i)."""
     letters = [
         (s, i)
         for s in system.base.elements()
@@ -246,15 +246,8 @@ def _letters_with_identity(system: LrSystem, zero_kind: str) -> FiniteSemigroup:
                 row.append(i if zero_kind == "left" else j)
         table.append(tuple(row))
     names = ("e",) + tuple(f"{s}.{i}" for (s, i) in letters)
-    return FiniteSemigroup(m, tuple(table), names)
-
-
-def _letter_index(system: LrSystem, s: int, i: int) -> int:
-    # identity occupies index 0; letters follow in (element, point) order
-    offset = 1
-    for t in range(s):
-        offset += system.index_sizes[t]
-    return offset + i
+    index = {letter: n for n, letter in enumerate(letters, 1)}
+    return FiniteSemigroup(m, tuple(table), names), index
 
 
 def nonassociativity_witness(system: LrSystem, violation: AxiomViolation):
@@ -271,12 +264,10 @@ def nonassociativity_witness(system: LrSystem, violation: AxiomViolation):
     """
     a, b, c = violation.a, violation.b, violation.c
     kind = "right" if violation.axiom == "beta" else "left"
-    h = _letters_with_identity(system, kind)
+    h, index = _letters_with_identity(system, kind)
 
     def tagged(s):
-        return ProductElement(
-            s, tuple(_letter_index(system, s, i) for i in range(system.index_sizes[s]))
-        )
+        return ProductElement(s, tuple(index[s, i] for i in range(system.index_sizes[s])))
 
     def constant_identity(s):
         return ProductElement(s, (0,) * system.index_sizes[s])
@@ -309,13 +300,8 @@ def embed_base(
     """Embed the base semigroup as constant tuples at one idempotent of H."""
     if h.mul(idempotent, idempotent) != idempotent:
         raise NotIdempotentError(f"{idempotent} is not idempotent in H")
-    target = product_table(h, system, cap=cap)
-    encode = _encoder(h, system)
-    mapping = tuple(
-        encode(a, (idempotent,) * system.index_sizes[a])
-        for a in system.base.elements()
-    )
-    return Homomorphism(system.base, target, mapping)
+    images = ((a, (idempotent,) * system.index_sizes[a]) for a in system.base.elements())
+    return _product_hom(system.base, product_table(h, system, cap=cap), h, system, images)
 
 
 def embed_fiber(
@@ -331,10 +317,16 @@ def embed_fiber(
         raise NotIdempotentError(f"{f} is not idempotent in the base")
     if system.index_sizes[f] == 0:
         raise EmptyFiberError(f"base element {f} has an empty index set")
-    target = product_table(h, system, cap=cap)
+    images = ((f, (x,) * system.index_sizes[f]) for x in h.elements())
+    return _product_hom(h, product_table(h, system, cap=cap), h, system, images)
+
+
+def _product_hom(domain, target, h: FiniteSemigroup, system: LrSystem, images) -> Homomorphism:
+    """The map sending domain element i to the i-th (anchor, values) of
+    ``images`` in ``target``, the product table of H over the system,
+    checked as a homomorphism."""
     encode = _encoder(h, system)
-    mapping = tuple(encode(f, (x,) * system.index_sizes[f]) for x in h.elements())
-    return Homomorphism(h, target, mapping)
+    return Homomorphism(domain, target, tuple(encode(a, v) for a, v in images))
 
 
 def subset_multiply(

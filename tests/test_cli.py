@@ -558,6 +558,47 @@ def test_each_command_refuses_the_flags_it_does_not_read(capsys, command, flag):
     assert code == 2
     assert out == "" and "Traceback" not in err
     assert "unrecognized arguments" in err
+    # the command's own usage, so the user sees the flags it does take
+    assert err.startswith(f"usage: lamrho {command} ")
+
+
+SPEC_FLAGS = ("--base", "--h", "--system", "--action", "--partition")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in sorted(READS) for f in READS[c] if f in SPEC_FLAGS],
+)
+def test_an_empty_spec_is_a_usage_error(capsys, command, flag):
+    # refused by the parser, not read as an absent flag or an empty path
+    argv = minimal_argv(command, flag)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = ""
+    else:
+        argv += [flag, ""]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: lamrho {command} ")
+    assert f"argument {flag}: " in err
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("examples", "base"), ("examples", "system"),
+     ("validate", "base"), ("validate", "system"), ("validate", "action")],
+)
+def test_handlers_read_an_empty_spec_that_reaches_them(command, flag):
+    # a handler tests for an absent flag, not for a false one
+    import argparse
+
+    from lamrho import cli
+    from lamrho.errors import InputFormatError
+
+    args = argparse.Namespace(base=None, system=None, action=None, format="json", out=None)
+    setattr(args, flag, "")
+    with pytest.raises(InputFormatError) as info:
+        getattr(cli, f"_cmd_{command}")(args)
+    assert "nothing to validate" not in str(info.value)
 
 
 def test_abbreviated_flags_are_usage_errors(capsys):

@@ -6,6 +6,8 @@ from lamrho import (
     TRIVIAL,
     Z2,
     Z3,
+    FiniteSemigroup,
+    LrSystem,
     NotACongruenceError,
     NotGroupPreservingError,
     NotIsomorphicError,
@@ -27,6 +29,7 @@ from lamrho import (
     quotient,
     validate_table,
     verify_wreath_iso,
+    wreath_oracle,
     wreathize,
 )
 from lamrho.groupwreath import _decomposition_branch
@@ -72,6 +75,15 @@ def test_derived_action_unit_law():
 def test_composite_action_identity():
     for system in enumerate_systems(Z2, [2, 2], unital_only=True):
         assert composite_action_identity_holds(system)
+
+
+def test_composite_action_identity_fails_when_rho_collapses():
+    # every map the identity except rho[1,0] = (0, 0): 1*1 = 0 acts as the
+    # identity, but acting by 1 twice sends the point 1 to 0
+    ident = (0, 1)
+    rho = (ident, ident, (0, 0), ident)
+    system = LrSystem(Z2, (2, 2), (ident,) * 4, rho)
+    assert not composite_action_identity_holds(system)
 
 
 def test_wreathize_on_action_system_is_identity():
@@ -121,6 +133,31 @@ def test_verify_wreath_iso_singleton_fibers():
             )
             is not None
         )
+
+
+def test_verify_wreath_iso_explicit_route_refutes_a_relabelled_oracle(monkeypatch):
+    # swapping oracle elements 1 and 2 keeps the table isomorphic, so the
+    # search still succeeds, but the explicit map no longer respects it
+    from lamrho import groupwreath
+
+    def swapped_oracle(h, action, cap):
+        table = wreath_oracle(h, action, cap=cap)
+        swap = list(table.elements())
+        swap[1], swap[2] = 2, 1
+        rows = tuple(
+            tuple(swap[table.mul(swap[i], swap[j])] for j in table.elements())
+            for i in table.elements()
+        )
+        return FiniteSemigroup(table.size, rows)
+
+    monkeypatch.setattr(groupwreath, "wreath_oracle", swapped_oracle)
+    systems = list(enumerate_systems(Z2, [2, 2], unital_only=True))
+    assert systems
+    for system in systems:
+        report = verify_wreath_iso(Z2, system)
+        assert report.search_iso_found
+        assert not report.construction_iso_ok
+        assert not report
 
 
 def test_verify_wreath_iso_rejects_non_group_coefficients():
