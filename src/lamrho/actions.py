@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ActionLawError, SizeCapError
-from .product import DEFAULT_UNIVERSE_CAP
+from .errors import DEFAULT_UNIVERSE_CAP, ActionLawError, SizeCapError
 from .semigroup import (
     JOIN2,
     MEET2,

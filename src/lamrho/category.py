@@ -24,14 +24,13 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
+    DEFAULT_UNIVERSE_CAP,
     ComposeMismatchError,
     MapRangeError,
     SizeCapError,
     SquareViolationError,
 )
-from .product import (
-    DEFAULT_UNIVERSE_CAP, _encoder, _product_hom, _route, product_table, universe,
-)
+from .product import _encoder, _product_hom, _route, product_table, universe
 from .semigroup import FiniteSemigroup, Homomorphism, subsemigroup_table
 from .system import LrSystem, _axiom_walk, validate_axioms
 

@@ -24,6 +24,9 @@ import os
 import sys
 
 from .errors import (
+    DEFAULT_CONGRUENCE_CAP,
+    DEFAULT_ISO_CAP,
+    DEFAULT_UNIVERSE_CAP,
     InputFormatError,
     LamrhoError,
     MapRangeError,
@@ -32,10 +35,6 @@ from .errors import (
 )
 
 DEFAULT_ENUM_LIMIT = 100
-# product.DEFAULT_UNIVERSE_CAP, written out so that parsing loads no engine
-DEFAULT_UNIVERSE_CAP = 10**6
-# semigroup.DEFAULT_ISO_CAP, written out so that parsing loads no engine
-DEFAULT_ISO_CAP = 32
 
 
 def _looks_inline(text: str) -> bool:
@@ -50,10 +49,13 @@ def _inline_json(text: str):
 
 
 def _json_arg(spec: str):
-    """Inline JSON, or the JSON document in the file ``spec`` names."""
+    """Inline JSON, or the JSON document in the file ``spec`` names, with
+    the source its errors name: ``<inline>`` or the path."""
     from . import serialize
 
-    return _inline_json(spec) if _looks_inline(spec) else serialize._load_json(spec)
+    if _looks_inline(spec):
+        return _inline_json(spec), "<inline>"
+    return serialize._load_json(spec), spec
 
 
 def resolve_semigroup(spec: str) -> FiniteSemigroup:
@@ -149,7 +151,6 @@ def _emit(args, text_render, json_obj) -> None:
 def _cmd_validate(args) -> int:
     if args.base is None and args.system is None and args.action is None:
         raise InputFormatError("<args>", "--base/--system/--action", "nothing to validate")
-    status = 0
     if args.base is not None:
         sg = _valid_semigroup(args.base)
         print(f"semigroup ok: {sg.size} elements")
@@ -165,7 +166,7 @@ def _cmd_validate(args) -> int:
     if args.action is not None:
         action = resolve_action(args.action)
         print(f"action ok: carrier {action.carrier} over base {action.base.size}")
-    return status
+    return 0
 
 
 def _cmd_product(args) -> int:
@@ -185,7 +186,8 @@ def _cmd_quotient(args) -> int:
     from .semigroup import quotient
 
     sg = _valid_semigroup(args.base)
-    part = serialize.partition_from_obj(_json_arg(args.partition), sg.size)
+    doc, where = _json_arg(args.partition)
+    part = serialize.partition_from_obj(doc, sg.size, where)
     q = quotient(sg, part)
     _emit(args, lambda: render_table(q), serialize.semigroup_to_dict(q))
     return 0
@@ -209,11 +211,8 @@ def _cmd_divides(args) -> int:
 
     s = _valid_semigroup(args.base)
     t = _valid_semigroup(args.h)
-    kwargs = {}
-    if args.cap is not None:
-        kwargs["congruence_cap"] = args.cap
     try:
-        witness = divides(t, s, quotient_only=args.quotient_only, **kwargs)
+        witness = divides(t, s, quotient_only=args.quotient_only, congruence_cap=args.cap)
     except SearchCapError as exc:
         print(f"inconclusive: {exc}")
         return 1
@@ -276,8 +275,7 @@ def _cmd_free(args) -> int:
     if args.sizes is None:
         from . import serialize
 
-        raw = _json_arg(args.system)
-        where = "<free spec>"
+        raw, where = _json_arg(args.system)
         if not isinstance(raw, dict):
             raise InputFormatError(where, "<json>", "expected an object")
         free = free_monoid_system(
@@ -413,7 +411,8 @@ _COMMANDS = {
     "iso": (_cmd_iso, "search for an isomorphism between two semigroups",
             ("base", "h"), ("cap", "format", "out"), DEFAULT_ISO_CAP),
     "divides": (_cmd_divides, "search for a division witness (--h divides --base)",
-                ("base", "h"), ("cap", "quotient-only", "format", "out"), None),
+                ("base", "h"), ("cap", "quotient-only", "format", "out"),
+                DEFAULT_CONGRUENCE_CAP),
     "examples": (_cmd_examples, "list or dump built-in semigroups and systems",
                  (), (("base", "system"), "format", "out"), None),
     "free": (_cmd_free, "build a bounded free system and check it",
@@ -427,12 +426,23 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser. It refuses the leftovers after the command
+    with its own usage line; those before it are the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lamrho",
         description="finite semigroup and index-map system workbench",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for name, (handler, help_text, required, optional, cap) in _COMMANDS.items():
         # no abbreviated flags: an unread --h would otherwise mean --help
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
@@ -443,17 +453,14 @@ def build_parser() -> argparse.ArgumentParser:
                     group.add_argument(f"--{member}", **_FLAGS[member])
             else:
                 p.add_argument(f"--{flag}", required=needed, **_FLAGS[flag])
-        p.set_defaults(handler=handler, cap=cap, usage_error=p.error)
+        p.set_defaults(handler=handler, cap=cap)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args, extra = parser.parse_known_args(argv)
-        if extra:
-            # reported with the command's own usage, not the top level's
-            args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -41,6 +41,15 @@ class SearchCapError(LamrhoError):
     """A search was truncated before it could decide; result inconclusive."""
 
 
+# Default caps: the elements of a product universe or bounded free system
+# and of the semigroups an isomorphism search takes (SizeCapError), and
+# the congruences a division search builds (SearchCapError). They live
+# here so that the CLI parser reads them without loading an engine.
+DEFAULT_UNIVERSE_CAP = 10**6
+DEFAULT_ISO_CAP = 32
+DEFAULT_CONGRUENCE_CAP = 20000
+
+
 class MapRangeError(LamrhoError):
     """An index map has the wrong length or out-of-range values."""
 

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from .actions import RightAction, from_right_action, wreath_oracle
 from .category import Transformation, is_system_isomorphism, validate_transformation
 from .errors import (
+    DEFAULT_UNIVERSE_CAP,
     NotACongruenceError,
     NotAHomomorphismError,
     NotGroupPreservingError,
     NotIsomorphicError,
     SizeCapError,
 )
-from .product import DEFAULT_UNIVERSE_CAP, _product_hom, product_table
+from .product import _product_hom, product_table
 from .semigroup import (
     L2_1,
     L2,

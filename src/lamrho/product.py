@@ -18,14 +18,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    DEFAULT_UNIVERSE_CAP,
     EmptyFiberError,
     NotIdempotentError,
     SizeCapError,
 )
 from .semigroup import FiniteSemigroup, Homomorphism, associativity_witness
 from .system import AxiomViolation, LrSystem
-
-DEFAULT_UNIVERSE_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,19 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .errors import (
+    DEFAULT_CONGRUENCE_CAP,
+    DEFAULT_ISO_CAP,
     EmptyGeneratorsError,
     InvalidPartitionError,
     NonAssociativeError,
     NotACongruenceError,
     NotAHomomorphismError,
+    NotClosedError,
     OutOfRangeEntryError,
     SearchCapError,
     SizeCapError,
     TableFormatError,
 )
-
-DEFAULT_ISO_CAP = 32
-DEFAULT_CONGRUENCE_CAP = 20000
 
 
 def _is_int(value) -> bool:
@@ -86,9 +86,6 @@ class FiniteSemigroup:
 
     def is_idempotent(self, i: int) -> bool:
         return self.table[i][i] == i
-
-    def idempotents(self) -> tuple[int, ...]:
-        return tuple(i for i in self.elements() if self.is_idempotent(i))
 
     def __repr__(self):
         return f"FiniteSemigroup(size={self.size})"
@@ -265,8 +262,6 @@ def subsemigroup_table(sg: FiniteSemigroup, elements) -> FiniteSemigroup:
     Ambient element elements[i] becomes local element i; raises
     NotClosedError if the set is not product-closed.
     """
-    from .errors import NotClosedError
-
     elems = tuple(sorted(set(elements)))
     pos = {e: i for i, e in enumerate(elems)}
     table = []

@@ -21,7 +21,6 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Iterator
 
 from .errors import (
@@ -263,43 +262,26 @@ def is_group_preserving(system: LrSystem) -> bool:
 # Enumeration
 
 
-def _identity_map(k: int) -> tuple[int, ...]:
-    return tuple(range(k))
-
-
-class _Slot:
-    __slots__ = ("kind", "a", "b", "domain", "codomain", "pinned")
-
-    def __init__(self, kind, a, b, domain, codomain, pinned=None):
-        self.kind = kind
-        self.a = a
-        self.b = b
-        self.domain = domain
-        self.codomain = codomain
-        self.pinned = pinned
-
-
-def _build_slots(base, sizes, unital_only):
-    n = base.size
+def _slots(base, sizes, unital_only):
+    """Every map slot ``(kind, a, b, domain, codomain, pinned)`` in search
+    order: lam[a,b] at a*n+b, then rho[a,b] at n*n+a*n+b, the layout
+    ``LrSystem`` stores. ``pinned`` is the identity on I[a] for lam[a,1]
+    and rho[1,a] when ``unital_only``, else None; the result is None when
+    the base has no identity.
+    """
     e = identity_element(base) if unital_only else None
     if unital_only and e is None:
         return None
+    elems = base.elements()
     slots = []
     for kind in ("lam", "rho"):
-        for a in range(n):
-            for b in range(n):
-                ab = base.mul(a, b)
-                dom = sizes[ab]
-                cod = sizes[a] if kind == "lam" else sizes[b]
-                pinned = None
-                if unital_only:
-                    if kind == "lam" and b == e:
-                        pinned = _identity_map(dom)
-                    if kind == "rho" and a == e:
-                        pinned = _identity_map(dom)
-                if pinned is not None and any(v >= cod for v in pinned):
-                    return None
-                slots.append(_Slot(kind, a, b, dom, cod, pinned))
+        for a in elems:
+            for b in elems:
+                # lam[a,b] maps into I[a], rho[a,b] into I[b]
+                kept, other = (a, b) if kind == "lam" else (b, a)
+                dom = sizes[base.mul(a, b)]
+                pinned = tuple(range(dom)) if other == e else None
+                slots.append((kind, a, b, dom, sizes[kept], pinned))
     return slots
 
 
@@ -318,15 +300,15 @@ def _candidates(slot, rng):
     step, and its rejection-sampled draws set the generator state that
     every later slot starts from.
     """
-    codomain, domain = slot.codomain, slot.domain
-    if slot.pinned is not None:
-        return lambda: (slot.pinned,)
+    kind, a, b, domain, codomain, pinned = slot
+    if pinned is not None:
+        return lambda: (pinned,)
     if rng is None:
         return lambda: itertools.product(range(codomain), repeat=domain)
     count = codomain**domain
     if count > SEEDED_CODE_CAP:
         raise SizeCapError(
-            f"{slot.kind}[{slot.a},{slot.b}] has {codomain}**{domain} = {count} maps, "
+            f"{kind}[{a},{b}] has {codomain}**{domain} = {count} maps, "
             f"cap is {SEEDED_CODE_CAP} codes"
         )
     codes = array("q", range(count))
@@ -342,30 +324,31 @@ def _candidates(slot, rng):
     return lambda: map(decode, codes)
 
 
-def _instances(base, sizes, slot_pos):
+def _instances(base, sizes):
     """Axiom instances ``(axiom, |I[abc]|, slot positions)`` grouped by the
-    last slot they depend on."""
-    # One-point fibers (none where sizes is 0) under maps that break all
-    # three axioms at that point: the walk lists alpha, beta and gamma of
-    # every triple whose instances have a nonempty domain.
-    probe = SimpleNamespace(
-        lam_map=lambda a, b: (1, 2, 3),
-        rho_map=lambda a, b: (1, 3, 0),
-        fiber_size=lambda s: min(sizes[s], 1),
-    )
-    found = []
-    _axiom_walk(probe, base.elements(), base.mul, found, False)
-    by_last = [[] for _ in slot_pos]
-    for _, a, b, c, _ in found[::3]:
-        ab, bc = base.mul(a, b), base.mul(b, c)
-        size = sizes[base.mul(ab, c)]
-        for axiom, maps in (
-            ("alpha", (("lam", a, b), ("lam", ab, c), ("lam", a, bc))),
-            ("beta", (("rho", b, c), ("rho", a, bc), ("rho", ab, c))),
-            ("gamma", (("rho", a, b), ("lam", ab, c), ("lam", b, c), ("rho", a, bc))),
+    last slot they depend on: triples in lexicographic order, then alpha,
+    beta, gamma; triples with an empty I[abc] have none."""
+    n = base.size
+    mul = base.mul
+
+    def lam(x, y):
+        return x * n + y
+
+    def rho(x, y):
+        return n * n + x * n + y
+
+    by_last = [[] for _ in range(2 * n * n)]
+    for a, b, c in itertools.product(base.elements(), repeat=3):
+        ab, bc = mul(a, b), mul(b, c)
+        size = sizes[mul(ab, c)]
+        if not size:
+            continue
+        for inst in (
+            ("alpha", size, (lam(a, b), lam(ab, c), lam(a, bc))),
+            ("beta", size, (rho(b, c), rho(a, bc), rho(ab, c))),
+            ("gamma", size, (rho(a, b), lam(ab, c), lam(b, c), rho(a, bc))),
         ):
-            deps = tuple(slot_pos[m] for m in maps)
-            by_last[max(deps)].append((axiom, size, deps))
+            by_last[max(inst[2])].append(inst)
     return by_last
 
 
@@ -408,7 +391,7 @@ def enumerate_systems(
         raise MapRangeError("need one index size per base element")
     if any(k < 0 for k in sizes):
         raise MapRangeError("index sizes must be non-negative")
-    slots = _build_slots(base, sizes, unital_only)
+    slots = _slots(base, sizes, unital_only)
     if slots is None:
         return
     small = base.size <= EXHAUSTIVE_BASE_CAP and (
@@ -419,11 +402,7 @@ def enumerate_systems(
         rng = random.Random(0 if seed is None else seed)
 
     n = base.size
-    slot_pos = {}
-    for pos, slot in enumerate(slots):
-        slot_pos[slot.kind, slot.a, slot.b] = pos
-    checks_at = _instances(base, sizes, slot_pos)
-
+    checks_at = _instances(base, sizes)
     candidates = [_candidates(slot, rng) for slot in slots]
 
     assign: list = [None] * len(slots)

@@ -89,6 +89,25 @@ def test_json_booleans_are_input_errors(capsys):
         assert out == "" and f"field '{field}'" in err
 
 
+@pytest.mark.parametrize(
+    "command,flag,doc,field",
+    [
+        ("quotient", "--partition", "[[0, 1], [1, 2]]", "classes"),
+        ("free", "--system", '{"lambda": []}', "shared_size"),
+    ],
+)
+def test_input_errors_name_the_inline_spec_or_the_file(
+    capsys, tmp_path, command, flag, doc, field
+):
+    base = ["--base", "z3"] if command == "quotient" else []
+    path = tmp_path / "spec.json"
+    path.write_text(doc)
+    for spec, where in ((doc, "<inline>"), (str(path), str(path))):
+        code, out, err = run(capsys, command, *base, flag, spec)
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: {where}: field '{field}': "), spec
+
+
 def test_free_spec_must_be_an_object(capsys):
     for spec, field in (
         ("[1]", "<json>"),
@@ -142,6 +161,21 @@ def test_validate_good_action(capsys):
 def test_unknown_flag_is_usage_error(capsys):
     code, _, _ = run(capsys, "corollary", "--bogus")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (["--x", "validate", "--base", "z2"], "usage: lamrho [-h]"),
+        (["validate", "--base", "z2", "--x"], "usage: lamrho validate "),
+    ],
+)
+def test_a_leftover_is_reported_by_the_parser_it_was_given_to(capsys, argv, usage):
+    # before the command it is the top level's, after it the command's
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(usage)
+    assert err.endswith("error: unrecognized arguments: --x\n")
 
 
 def test_quotient(capsys):
@@ -636,11 +670,11 @@ def test_both_flags_of_an_exclusive_pair_are_a_usage_error(capsys, command):
 
 
 def test_each_command_sets_its_cap_default():
-    # each command's --cap default is set by the parser; divides leaves
-    # None so that the library's own default applies
+    # each command's --cap default is set by the parser; divides' is the
+    # library's congruence cap
     assert parses(["iso", "--base", "z2", "--h", "z2"]).cap == 32
     assert parses(["enumerate", "--base", "z2", "--sizes", "1"]).cap == 100
-    assert parses(["divides", "--base", "z2", "--h", "z2"]).cap is None
+    assert parses(["divides", "--base", "z2", "--h", "z2"]).cap == 20000
     for argv in (["product", "--base", "x", "--h", "x"], ["wreathize", "--system", "x"],
                  ["free", "--sizes", "1"]):
         assert parses(argv).cap == 10**6

@@ -186,3 +186,75 @@ def test_enumeration_beyond_exhaustive_caps_uses_seeded_search():
 def test_enumeration_rejects_negative_sizes():
     with pytest.raises(MapRangeError):
         list(enumerate_systems(Z2, [1, -1]))
+
+
+def _reference_slots_and_instances(base, sizes, unital_only):
+    """The enumerator's slots and axiom instances built without slot
+    arithmetic: slot positions come from a dict keyed by (kind, a, b), and
+    the instances from walking maps that break all three axioms at the one
+    point of every nonempty fiber through ``_axiom_walk``."""
+    from types import SimpleNamespace
+
+    from lamrho.semigroup import identity_element
+    from lamrho.system import _axiom_walk
+
+    n = base.size
+    pairs = list(itertools.product(range(n), repeat=2))
+    e = identity_element(base) if unital_only else None
+
+    def build_slots():
+        if unital_only and e is None:
+            return None
+        slots = []
+        for kind in ("lam", "rho"):
+            for a, b in pairs:
+                dom = sizes[base.mul(a, b)]
+                cod = sizes[a] if kind == "lam" else sizes[b]
+                pinned = None
+                if unital_only and e == (b if kind == "lam" else a):
+                    pinned = tuple(range(dom))
+                if pinned is not None and any(v >= cod for v in pinned):
+                    return None
+                slots.append((kind, a, b, dom, cod, pinned))
+        return slots
+
+    pos = {}
+    for kind in ("lam", "rho"):
+        for a, b in pairs:
+            pos[kind, a, b] = len(pos)
+    probe = SimpleNamespace(
+        lam_map=lambda a, b: (1, 2, 3),
+        rho_map=lambda a, b: (1, 3, 0),
+        fiber_size=lambda s: min(sizes[s], 1),
+    )
+    found = []
+    _axiom_walk(probe, base.elements(), base.mul, found, False)
+    by_last = [[] for _ in pos]
+    for _, a, b, c, _ in found[::3]:
+        ab, bc = base.mul(a, b), base.mul(b, c)
+        size = sizes[base.mul(ab, c)]
+        for axiom, maps in (
+            ("alpha", (("lam", a, b), ("lam", ab, c), ("lam", a, bc))),
+            ("beta", (("rho", b, c), ("rho", a, bc), ("rho", ab, c))),
+            ("gamma", (("rho", a, b), ("lam", ab, c), ("lam", b, c), ("rho", a, bc))),
+        ):
+            deps = tuple(pos[m] for m in maps)
+            by_last[max(deps)].append((axiom, size, deps))
+    return build_slots(), by_last
+
+
+def test_enumerator_slots_and_instances_match_the_walked_reference():
+    from lamrho.semigroup import CATALOG
+    from lamrho.system import _instances, _slots
+
+    cases = 0
+    for name, base in sorted(CATALOG.items()):
+        for sizes in itertools.product(range(3), repeat=base.size):
+            cases += 1
+            for unital_only in (False, True):
+                slots, instances = _reference_slots_and_instances(
+                    base, sizes, unital_only
+                )
+                assert _slots(base, sizes, unital_only) == slots, (name, sizes)
+                assert _instances(base, sizes) == instances, (name, sizes)
+    assert cases == 102
