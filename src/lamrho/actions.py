@@ -190,28 +190,36 @@ def _two_sided_table(
 ) -> FiniteSemigroup:
     """(u, a) * (w, b) = ((u o left[b]) . (w o right[_][a]), ab), with
     elements anchor-major and tuples lexicographic, the product-engine
-    order, so agreement is table identity. Each anchor pair is routed
-    once: the column p -> p/a per a, and the H-rows of u(b\\p) per (u, b).
+    order, so agreement is table identity.
+
+    A fiber tuple t has the code sum_q t[q] * |H|^(k-1-q), its position
+    in the fiber. Per left anchor a, moved[w] is the code of w o (_/a),
+    for every w. Per (u, b), times[j] is the code of (ab, v . t) for the
+    tuple t with code j, where v = u o (b\\_), built one coordinate at a
+    time. The cell of (w, b) is then times[moved[w]]: one index and, in
+    building times, about one addition.
     """
+    m = h.size
     n = base.size
-    block = h.size**carrier
+    block = m**carrier
     total = n * block
     if total > cap:
         raise SizeCapError(f"product has {total} elements, cap is {cap}")
-    fiber = list(itertools.product(range(h.size), repeat=carrier))
-    index = {u: i for i, u in enumerate(fiber)}
+    weights = [m ** (carrier - 1 - q) for q in range(carrier)]
+    fiber = list(itertools.product(range(m), repeat=carrier))
     table = []
     for a in range(n):
-        col = [right[p][a] for p in range(carrier)]
+        moved = [
+            sum(w[right[q][a]] * weights[q] for q in range(carrier)) for w in fiber
+        ]
         for u in fiber:
             row = []
             for b in range(n):
-                hrows = [h.table[u[q]] for q in left[b]]
-                offset = base.mul(a, b) * block
-                row.extend(
-                    offset + index[tuple(r[w[c]] for r, c in zip(hrows, col))]
-                    for w in fiber
-                )
+                times = [base.mul(a, b) * block]
+                for q, p in enumerate(left[b]):
+                    vq = [x * weights[q] for x in h.table[u[p]]]
+                    times = [s + t for s in times for t in vq]
+                row.extend(map(times.__getitem__, moved))
             table.append(tuple(row))
     names = tuple(
         f"{a}:" + "".join(str(v) for v in u) for a in range(n) for u in fiber

@@ -23,7 +23,7 @@ from .errors import (
     NotIdempotentError,
     SizeCapError,
 )
-from .semigroup import FiniteSemigroup, Homomorphism, associativity_witness
+from .semigroup import FiniteSemigroup, Homomorphism, _trusted, associativity_witness
 from .system import AxiomViolation, LrSystem
 
 
@@ -181,7 +181,9 @@ def product_table(
 
     Element names are generated as "anchor:digits". For an axiom-valid
     system the result is a semigroup (re-validation is part of the test
-    suite, not of this constructor).
+    suite, not of this constructor). The result skips the entry check of
+    FiniteSemigroup: :func:`_rows` takes every cell from the list of the
+    ``offsets[-1]`` codes and gives every row that many cells.
     """
     offsets = _offsets(h, system, cap)
     digits = [str(v) for v in range(h.size)]
@@ -190,7 +192,7 @@ def product_table(
         for a in system.base.elements()
         for values in itertools.product(digits, repeat=system.index_sizes[a])
     )
-    return FiniteSemigroup(offsets[-1], _rows(h, system, offsets), names)
+    return _trusted(offsets[-1], _rows(h, system, offsets), names)
 
 
 @dataclass(frozen=True)

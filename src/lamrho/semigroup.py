@@ -42,7 +42,8 @@ class FiniteSemigroup:
 
     Construction checks shape and entry ranges only; associativity is the
     job of :func:`validate_table`, so that raw candidate tables can be
-    represented and rejected with a witness.
+    represented and rejected with a witness. The one way round that check
+    is :func:`_trusted`, whose one caller is ``product.product_table``.
     """
 
     size: int
@@ -73,7 +74,8 @@ class FiniteSemigroup:
     @staticmethod
     def from_rows(rows, names=None) -> "FiniteSemigroup":
         table = tuple(tuple(row) for row in rows)
-        return FiniteSemigroup(len(table), table, tuple(names) if names else None)
+        names = tuple(names) if names is not None else None
+        return FiniteSemigroup(len(table), table, names)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -89,6 +91,16 @@ class FiniteSemigroup:
 
     def __repr__(self):
         return f"FiniteSemigroup(size={self.size})"
+
+
+def _trusted(size: int, table, names) -> FiniteSemigroup:
+    """A FiniteSemigroup whose fields are set without the entry check, for
+    a builder that makes every row ``size`` ints in range by construction."""
+    sg = object.__new__(FiniteSemigroup)
+    object.__setattr__(sg, "size", size)
+    object.__setattr__(sg, "table", table)
+    object.__setattr__(sg, "names", names)
+    return sg
 
 
 def associativity_witness(table) -> tuple[int, int, int] | None:

@@ -69,6 +69,10 @@ def semigroup_from_dict(obj, where="<memory>") -> FiniteSemigroup:
         not isinstance(names, list) or not all(isinstance(s, str) for s in names)
     ):
         raise InputFormatError(where, "names", "expected a list of strings")
+    if names is not None and len(names) != len(table):
+        raise InputFormatError(
+            where, "names", f"{len(names)} given for {len(table)} table rows"
+        )
     try:
         sg = FiniteSemigroup.from_rows(table, names)
     except LamrhoError as exc:

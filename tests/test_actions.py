@@ -292,3 +292,73 @@ def test_builders_match_the_reference_constructions():
     for action in two_sided:
         built = from_two_sided_action(action)
         assert built == _reference_from_two_sided_action(action)
+
+
+def _tuple_hashing_two_sided_table(h, base, carrier, left, right):
+    """The oracle body that built and hashed one carrier tuple per cell,
+    kept as the reference for the fiber-code body."""
+    n = base.size
+    block = h.size**carrier
+    fiber = list(itertools.product(range(h.size), repeat=carrier))
+    index = {u: i for i, u in enumerate(fiber)}
+    table = []
+    for a in range(n):
+        col = [right[p][a] for p in range(carrier)]
+        for u in fiber:
+            row = []
+            for b in range(n):
+                hrows = [h.table[u[q]] for q in left[b]]
+                offset = base.mul(a, b) * block
+                row.extend(
+                    offset + index[tuple(r[w[c]] for r, c in zip(hrows, col))]
+                    for w in fiber
+                )
+            table.append(tuple(row))
+    names = tuple(
+        f"{a}:" + "".join(str(v) for v in u) for a in range(n) for u in fiber
+    )
+    return n * block, tuple(table), names
+
+
+def _oracle_grid():
+    """Every catalog base with coefficients trivial, z2, z3 and l2, over
+    the regular right action, the carrier-0 action, the carrier-1
+    constant action, and the natural two-sided action where the product
+    has at most 5000 elements."""
+    grid = []
+    for base_name, base in sorted(CATALOG.items()):
+        actions = {
+            "regular": regular_action(base),
+            "carrier0": trivial_action(base, 0),
+            "carrier1": trivial_action(base, 1),
+            "natural": natural_two_sided_action(base),
+        }
+        for h_name in ("trivial", "z2", "z3", "l2"):
+            h = CATALOG[h_name]
+            for kind, action in actions.items():
+                if base.size * h.size**action.carrier <= 5000:
+                    name = f"{base_name}-{h_name}-{kind}"
+                    grid.append(pytest.param(h, action, id=name))
+    return grid
+
+
+ORACLE_GRID = _oracle_grid()
+
+
+def test_oracle_grid_has_126_tables():
+    assert len(ORACLE_GRID) == 126
+
+
+@pytest.mark.parametrize("h, action", ORACLE_GRID)
+def test_oracle_matches_the_tuple_hashing_body(h, action):
+    if isinstance(action, RightAction):
+        built = wreath_oracle(h, action)
+        left = (tuple(range(action.carrier)),) * action.base.size
+        right = action.act
+    else:
+        built = two_sided_wreath_oracle(h, action)
+        left, right = action.left, action.right
+    expected = _tuple_hashing_two_sided_table(
+        h, action.base, action.carrier, left, right
+    )
+    assert (built.size, built.table, built.names) == expected

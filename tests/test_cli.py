@@ -63,6 +63,15 @@ def test_validate_nonassociative_table(capsys):
     assert "not associative" in err
 
 
+@pytest.mark.parametrize("names", ["[]", '["a"]'])
+def test_validate_names_of_the_wrong_length_are_input_errors(capsys, names):
+    # an empty list is a list of the wrong length, not an absent field
+    doc = '{"size":2,"table":[[0,1],[1,0]],"names":%s}' % names
+    code, out, err = run(capsys, "validate", "--base", doc)
+    assert (code, out) == (2, "")
+    assert "field 'names'" in err
+
+
 def test_validate_malformed_file_is_input_error(capsys, tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -16,6 +16,7 @@ from lamrho import (
     Z2,
     Z3,
     EmptyFiberError,
+    FiniteSemigroup,
     LrSystem,
     NotIdempotentError,
     ProductElement,
@@ -91,6 +92,35 @@ def test_universe_cap():
 
     with pytest.raises(SizeCapError):
         universe(Z3, builtin_system("flip_flop"), cap=5)
+
+
+def test_product_table_checks_its_cap_before_any_row(monkeypatch):
+    from lamrho import SizeCapError, product
+
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(product, "_rows", no_rows)
+    with pytest.raises(SizeCapError):
+        product_table(Z3, builtin_system("flip_flop"), cap=11)
+
+
+def test_product_table_is_what_the_checked_constructor_accepts():
+    # product_table skips the entry check of FiniteSemigroup; the checked
+    # constructor must accept its result unchanged, every entry an exact int
+    systems = [
+        builtin_system(name)
+        for name in ("left_zero", "flip_flop", "non_semidirect", "boolean_shadow")
+    ]
+    for base in CATALOG.values():
+        for sizes in itertools.product(range(3), repeat=base.size):
+            systems.extend(enumerate_systems(base, sizes))
+    assert len(systems) == 4 + 2437
+    for system in systems:
+        for h in (Z2, Z3):
+            t = product_table(h, system)
+            assert FiniteSemigroup(t.size, t.table, t.names) == t
+            assert all(type(v) is int for row in t.table for v in row)
 
 
 def test_multiply_matches_listed_cells():

@@ -78,6 +78,16 @@ def test_validate_rejects_boolean_entries():
         FiniteSemigroup.from_rows([[0, False], [1, 1]])
 
 
+def test_an_empty_names_list_is_checked_not_dropped():
+    from lamrho import TableFormatError
+
+    for names in ([], ["a"]):
+        with pytest.raises(TableFormatError):
+            FiniteSemigroup.from_rows([[0, 1], [1, 0]], names)
+        with pytest.raises(TableFormatError):
+            validate_table([[0, 1], [1, 0]], names)
+
+
 def test_identity_element():
     assert identity_element(Z2) == 0
     assert identity_element(L2) is None
