@@ -10,9 +10,8 @@ value objects.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import (
     DEFAULT_CONGRUENCE_CAP,
@@ -536,19 +535,22 @@ class Homomorphism:
     map: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.map) != self.domain.size:
+        m = self.map
+        if len(m) != self.domain.size:
             raise NotAHomomorphismError("map must cover every domain element")
-        for v in self.map:
+        for v in m:
             if not 0 <= v < self.codomain.size:
                 raise NotAHomomorphismError(f"image {v} out of range")
-        for x in self.domain.elements():
-            for y in self.domain.elements():
-                if self.map[self.domain.mul(x, y)] != self.codomain.mul(
-                    self.map[x], self.map[y]
-                ):
-                    raise NotAHomomorphismError(
-                        f"map breaks the product at ({x},{y})"
-                    )
+        # row x of map[x*y] against row map[x] of the codomain at map[y];
+        # with one element both getters return a bare int, which compares
+        # the same way
+        images = itemgetter(*m)
+        cod = self.codomain.table
+        for x, row in enumerate(self.domain.table):
+            row_v = cod[m[x]]
+            if itemgetter(*row)(m) != images(row_v):
+                y = next(y for y, z in enumerate(row) if m[z] != row_v[m[y]])
+                raise NotAHomomorphismError(f"map breaks the product at ({x},{y})")
 
     def __call__(self, x: int) -> int:
         return self.map[x]
@@ -565,19 +567,6 @@ class Homomorphism:
 
     def __repr__(self):
         return f"Homomorphism({self.domain.size}->{self.codomain.size}, {list(self.map)})"
-
-
-def _element_fingerprint(sg: FiniteSemigroup, i: int):
-    row = sg.table[i]
-    col = tuple(sg.table[j][i] for j in sg.elements())
-    return (
-        sg.is_idempotent(i),
-        element_order_profile(sg, i),
-        tuple(sorted(Counter(row).values())),
-        tuple(sorted(Counter(col).values())),
-        row.count(i),
-        col.count(i),
-    )
 
 
 def greedy_generators(sg: FiniteSemigroup) -> tuple[int, ...]:
@@ -602,37 +591,71 @@ def find_isomorphism(
 ) -> Homomorphism | None:
     """A bijective homomorphism a -> b, or None after exhaustive search.
 
-    Backtracks over images of a greedy generating set, pruning candidates
-    by per-element fingerprints (idempotency, order profile, row/column
-    multiset shape); each image extends the map on the earlier generators
-    by :func:`_extend`. Deterministic: first match in lexicographic order
-    of generator images.
+    Backtracks over images of a greedy generating set. The candidates for
+    a generator are the elements of b with its colour under a joint colour
+    refinement of the two tables (:func:`_colours`); each image extends
+    the map on the earlier generators by :func:`_extend`. Deterministic:
+    first match in lexicographic order of generator images, which the
+    pruning cannot change, as every isomorphism keeps colours.
     """
     if a.size == b.size > cap:
         raise SizeCapError(f"isomorphism search capped at {cap} elements")
-    return _find_isomorphism(a, b, None)
+    return _find_isomorphism(a, b)
 
 
-def _fingerprints(sg: FiniteSemigroup):
-    """Each element's fingerprint, and their sorted list."""
-    prints = [_element_fingerprint(sg, i) for i in sg.elements()]
-    return prints, sorted(prints)
+def _colours(a: FiniteSemigroup, b: FiniteSemigroup):
+    """Colours of the elements of a and of b, on one scale, or None when
+    their multisets show that a and b are not isomorphic.
+
+    One-dimensional Weisfeiler-Leman on the Cayley tables: an element
+    starts with its idempotency and order profile, and each round adds
+    the sorted pairs (colour of y, colour of x*y) over its row, coded
+    c[y]*K + c[x*y] for K colours. Signatures are interned through one
+    dict for both tables, so equal colours mean equal signatures, and an
+    isomorphism maps every element to one of its own colour. Stops when
+    a round splits no class.
+    """
+    ids: dict = {}
+    ca, cb = (
+        [
+            ids.setdefault((sg.is_idempotent(x), element_order_profile(sg, x)), len(ids))
+            for x in sg.elements()
+        ]
+        for sg in (a, b)
+    )
+    count = 0
+    while sorted(ca) == sorted(cb):
+        if len(ids) == count:
+            return ca, cb
+        count = len(ids)
+        ids = {}
+        ca, cb = (
+            _refine(sg.table, c, count, ids) for sg, c in ((a, ca), (b, cb))
+        )
+    return None
 
 
-def _find_isomorphism(a, b, b_prints) -> Homomorphism | None:
-    """:func:`find_isomorphism` without its size cap, given
-    ``_fingerprints(b)`` or None to compute it; a caller with one target
-    computes it once."""
+def _refine(table, c: list, count: int, ids: dict) -> list:
+    """One round of :func:`_colours` on one table: ``count`` colours in
+    ``c``, signatures interned in ``ids``."""
+    scaled = [cy * count for cy in c]
+    get = c.__getitem__
+    return [
+        ids.setdefault((cx, tuple(sorted(map(add, scaled, map(get, row))))), len(ids))
+        for cx, row in zip(c, table)
+    ]
+
+
+def _find_isomorphism(a, b) -> Homomorphism | None:
+    """:func:`find_isomorphism` without its size cap."""
     if a.size != b.size:
         return None
-    fb, fb_sorted = _fingerprints(b) if b_prints is None else b_prints
-    fa = [_element_fingerprint(a, i) for i in a.elements()]
-    if sorted(fa) != fb_sorted:
+    colours = _colours(a, b)
+    if colours is None:
         return None
+    ca, cb = colours
     gens = greedy_generators(a)
-    candidates = [
-        [j for j in b.elements() if fb[j] == fa[g]] for g in gens
-    ]
+    candidates = [[j for j, c in enumerate(cb) if c == ca[g]] for g in gens]
 
     def backtrack(k, phi):
         if k == len(gens):
@@ -704,7 +727,6 @@ def divides(
     """
     if t.size > s.size:
         return None
-    t_prints = _fingerprints(t)
     truncated = False
 
     subs = [(None, tuple(s.elements()))]
@@ -721,7 +743,7 @@ def divides(
             if part.num_classes() != t.size:
                 continue
             q = quotient(sub, part)
-            iso = _find_isomorphism(q, t, t_prints)
+            iso = _find_isomorphism(q, t)
             if iso is not None:
                 return DivisionWitness(gens, elems, part, iso)
     if truncated:
@@ -734,10 +756,28 @@ def _closures(s: FiniteSemigroup, min_size: int):
     ``min_size`` elements, as (first generators, elements) sorted by
     (size, elements); a generator, so that :func:`divides` builds the list
     only once the whole semigroup has missed."""
-    first = {}
-    for k in (1, 2, 3):
-        for gens in itertools.combinations(range(s.size), k):
-            first.setdefault(subsemigroup_closure(s, gens), gens)
+    # each closure extends a copy of the one before by the next generator,
+    # the steps subsemigroup_closure would take; a generator already inside
+    # gives a closure that a shorter generator tuple has already found
+    found = ({}, {}, {})  # closure -> first generators, by generator count
+    table, n = s.table, s.size
+    for g1 in range(n):
+        one = {}
+        _extend(table, table, one, [], g1, g1)
+        found[0].setdefault(tuple(sorted(one)), (g1,))
+        for g2 in range(g1 + 1, n):
+            if g2 in one:
+                continue
+            two = dict(one)
+            _extend(table, table, two, [g1], g2, g2)
+            found[1].setdefault(tuple(sorted(two)), (g1, g2))
+            for g3 in range(g2 + 1, n):
+                if g3 in two:
+                    continue
+                three = dict(two)
+                _extend(table, table, three, [g1, g2], g3, g3)
+                found[2].setdefault(tuple(sorted(three)), (g1, g2, g3))
+    first = {**found[2], **found[1], **found[0]}  # fewest generators win
     subs = [(g, c) for c, g in first.items() if min_size <= len(c) < s.size]
     yield from sorted(subs, key=lambda item: (len(item[1]), item[1]))
 
