@@ -232,35 +232,39 @@ def _closure_walk(table, candidates) -> tuple[dict, list]:
     return phi, gens
 
 
-def _extend(ta, tb, phi: dict, gens, x: int, img: int) -> bool:
+def _extend(ta, tb, phi: dict, gens, x: int, img: int, injective: bool = True) -> bool:
     """Extend ``phi`` in place from <gens> to <gens, x>, with x -> img.
 
-    ``phi`` maps <gens>, which misses x, in table ``ta`` injectively and
-    homomorphically into table ``tb``. The walk assigns or checks
+    ``phi`` maps <gens>, which misses x, in table ``ta`` homomorphically
+    into table ``tb``, and injectively unless ``injective`` is false (a
+    division map may merge elements). The walk assigns or checks
     phi(u*g) = phi(u)*phi(g) on each new edge of the right Cayley graph:
     every old element times x, every new element times every generator. In
     a semigroup that is the homomorphism law, by induction on word length.
-    Returns False on a clash or a repeated image, with ``phi`` part-built.
+    Returns False on a clash or, when injective, a repeated image, with
+    ``phi`` part-built.
     """
-    used = set(phi.values())
-    if img in used:
-        return False
+    if injective:
+        used = set(phi.values())
+        if img in used:
+            return False
+        used.add(img)
     edges = [(g, phi[g]) for g in gens] + [(x, img)]
     # old elements walked every old edge when <gens> was built: x's is new
     walk = [(u, edges[-1:]) for u in phi]
     walk.append((x, edges))
     phi[x] = img
-    used.add(img)
     for u, out in walk:  # grows as the walk finds elements
         row_u, row_v = ta[u], tb[phi[u]]
         for g, vg in out:
             z, v = row_u[g], row_v[vg]
             w = phi.get(z)
             if w is None:
-                if v in used:
-                    return False
+                if injective:
+                    if v in used:
+                        return False
+                    used.add(v)
                 phi[z] = v
-                used.add(v)
                 walk.append((z, edges))
             elif w != v:
                 return False
@@ -687,6 +691,9 @@ class DivisionWitness:
     ``sub_elements`` lists the subsemigroup in ambient indices (the whole
     semigroup for strong division), ``partition`` is a congruence of the
     reindexed subsemigroup, and ``iso`` maps its quotient onto T.
+    ``sub_generators`` generate the subsemigroup: None for the whole
+    semigroup, else its first generators of at most three, or the
+    preimages found by the decision in :func:`divides`.
     """
 
     sub_generators: tuple[int, ...] | None
@@ -706,17 +713,22 @@ def divides(
     quotient_only: bool = False,
     congruence_cap: int = DEFAULT_CONGRUENCE_CAP,
 ) -> DivisionWitness | None:
-    """Search for a witness that t divides s.
+    """Search for a witness that t divides s; both tables are taken to be
+    associative.
 
-    With quotient_only, only congruences of s itself are searched (t must
-    appear directly as a quotient). Otherwise the closures of generator
-    sets of size <= 3 (:func:`subsemigroup_closure`: on an associative
-    table, the subsemigroups they generate) are searched as well, sorted
-    by (size, elements). The whole semigroup is tried before any closure
-    is built. Returns None when the bounded search exhausts without
-    finding a witness; raises SearchCapError when a truncated search
-    stayed inconclusive.
+    When |t| < |s|, a complete decision runs first
+    (:func:`_division_map`): t divides s exactly when some preimages of
+    the greedy generators of t extend, along generator edges, to a
+    homomorphism from the subsemigroup they generate onto t (with
+    quotient_only, when some images in t of the greedy generators of s
+    extend to a homomorphism of s onto t). When it finds none, the answer
+    is None and no closure or congruence lattice is built.
 
+    Otherwise the witness search runs. With quotient_only, only
+    congruences of s itself are searched (t must appear directly as a
+    quotient). Otherwise the closures of generator sets of size <= 3
+    (:func:`subsemigroup_closure`) are searched as well, sorted by (size,
+    elements); the whole semigroup is tried before any closure is built.
     Candidates are the congruences with exactly |t| classes, tried in the
     order of :func:`all_congruences`. The lattice search keeps only
     congruences with at least |t| classes (the class-count floor of
@@ -724,9 +736,32 @@ def divides(
     search that would hit the cap over the whole lattice may finish. Each
     candidate quotient has |t| elements, and its isomorphism search onto t
     runs uncapped.
+
+    Witness order: the whole semigroup, then the closures in their order,
+    then the decision's own witness, which the closures miss when t needs
+    more than 3 generators (or when a lattice search was truncated): the
+    preimages as ``sub_generators`` (None with quotient_only), their
+    sorted closure, the kernel of the map and the first isomorphism of its
+    quotient onto t.
+
+    ``congruence_cap`` also bounds the decision, counted in extensions
+    tried. A capped decision leaves the answer to the witness search, whose
+    miss is exact with quotient_only or when t has at most 3 greedy
+    generators; then the answer is None. SearchCapError is raised when the
+    miss is not exact: a congruence lattice was truncated, or a capped
+    decision leaves a t of more than 3 greedy generators undecided.
     """
     if t.size > s.size:
         return None
+    decided, capped = None, False
+    if t.size < s.size:
+        # at |t| = |s| the discrete congruence and one isomorphism decide
+        try:
+            decided = _division_map(t, s, quotient_only, congruence_cap)
+        except SearchCapError:
+            capped = True
+        if decided is None and not capped:
+            return None
     truncated = False
 
     subs = [(None, tuple(s.elements()))]
@@ -746,9 +781,79 @@ def divides(
             iso = _find_isomorphism(q, t)
             if iso is not None:
                 return DivisionWitness(gens, elems, part, iso)
+    if decided is not None:
+        gens, phi = decided
+        elems = tuple(sorted(phi))
+        part = _partition([phi[x] for x in elems])  # the kernel, by image
+        q = quotient(subsemigroup_table(s, elems), part)
+        return DivisionWitness(gens, elems, part, _find_isomorphism(q, t))
     if truncated:
         raise SearchCapError("division search truncated; result inconclusive")
+    if capped and not quotient_only:
+        k = len(greedy_generators(t))
+        if k > 3:
+            raise SearchCapError(
+                f"division decision stopped after {congruence_cap} extensions and "
+                f"t has {k} > 3 greedy generators; result inconclusive"
+            )
     return None
+
+
+def _division_map(t: FiniteSemigroup, s: FiniteSemigroup, quotient_only: bool, cap: int):
+    """A homomorphism from a subsemigroup of s onto t, as (preimages, map
+    on their closure), or None when there is none; the preimages are None
+    with quotient_only, where the subsemigroup is s itself.
+
+    Full mode tries, for each greedy generator t_i of t in turn, every
+    preimage outside the closure of the earlier ones; quotient-only mode
+    tries every image in t for each greedy generator of s and keeps a map
+    that is onto. Each choice extends the map by :func:`_extend` without
+    its injectivity check. A homomorphism sends x to y only if y's index is
+    at most x's and its period divides x's. An idempotent t_i needs only
+    idempotent preimages, as s^ω is a preimage of t_i whenever s is, and
+    generates less. Raises SearchCapError past ``cap`` extensions.
+    """
+    ps = [element_order_profile(s, x) for x in s.elements()]
+    pt = [element_order_profile(t, y) for y in t.elements()]
+
+    def maps_to(x, y):
+        return pt[y][0] <= ps[x][0] and ps[x][1] % pt[y][1] == 0
+
+    if quotient_only:
+        slots = [[(g, y) for y in t.elements() if maps_to(g, y)] for g in greedy_generators(s)]
+    else:
+        slots = [
+            [
+                (x, y)
+                for x in s.elements()
+                if maps_to(x, y) and (s.is_idempotent(x) or not t.is_idempotent(y))
+            ]
+            for y in greedy_generators(t)
+        ]
+    nodes = 0
+
+    def search(k, phi, gens):
+        nonlocal nodes
+        if k == len(slots):
+            if not quotient_only:
+                return tuple(gens), phi
+            return (None, phi) if len(set(phi.values())) == t.size else None
+        for x, y in slots[k]:
+            # an x inside <gens> maps into <t_1..t_k-1>, which misses the
+            # greedy t_k; a greedy generator of s is never inside
+            if x in phi:
+                continue
+            nodes += 1
+            if nodes > cap:
+                raise SearchCapError(f"division decision capped at {cap} extensions")
+            trial = dict(phi)
+            if _extend(s.table, t.table, trial, gens, x, y, injective=False):
+                found = search(k + 1, trial, gens + [x])
+                if found is not None:
+                    return found
+        return None
+
+    return search(0, {}, [])
 
 
 def _closures(s: FiniteSemigroup, min_size: int):

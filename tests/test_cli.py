@@ -230,6 +230,20 @@ def test_divides(capsys, tmp_path):
     assert code == 1 and "absent" in out
 
 
+L4 = '{"size":4,"table":[[0,0,0,0],[1,1,1,1],[2,2,2,2],[3,3,3,3]]}'
+L4_1 = ('{"size":5,"table":[[0,1,2,3,4],[1,1,1,1,1],[2,2,2,2,2],'
+        '[3,3,3,3,3],[4,4,4,4,4]]}')
+
+
+def test_divides_past_three_generators(capsys):
+    # L4 needs its 4 left zeros as generators; L4 with an identity holds them
+    code, out, _ = run(capsys, "divides", "--base", L4_1, "--h", L4)
+    assert code == 0
+    assert out == "divides: quotient witness with classes {1}, {2}, {3}, {4}\n"
+    code, out, _ = run(capsys, "divides", "--base", L4_1, "--h", L4, "--quotient-only")
+    assert code == 1 and out.startswith("absent")
+
+
 def test_divides_past_the_isomorphism_cap(capsys, tmp_path):
     # a 64-element table divides itself; the quotient search is uncapped
     from lamrho import JOIN2, RightAction, from_right_action

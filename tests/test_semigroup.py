@@ -447,11 +447,12 @@ def test_isomorphism_witness_is_least_in_generator_image_order():
 def test_divides_builds_no_closure_when_the_whole_semigroup_hits(monkeypatch):
     import lamrho.semigroup as sgmod
 
-    calls = []
+    built, calls = [], []
     closures = sgmod._closures
 
     def counting_closures(sg, min_size):
         # the list is built when the generator first runs
+        built.append(sg)
         for item in closures(sg, min_size):
             calls.append(item)
             yield item
@@ -460,10 +461,26 @@ def test_divides_builds_no_closure_when_the_whole_semigroup_hits(monkeypatch):
     s = product_table(Z2, builtin_system("flip_flop"))
     witness = divides(L2_1, s)
     assert witness is not None and witness.sub_generators is None
-    assert calls == []
-    # a miss on the whole semigroup does build the list, and tries it all
+    assert built == calls == []
+    # an absent division is settled by the preimage search: no closure
     assert divides(R2, s) is None
-    assert calls == list(closures(s, 2)) != []
+    assert built == calls == []
+    # Z2 divides Z4 with a zero adjoined only through a proper closure: the
+    # list is built and tried up to the witness
+    rows = [[(i + j) % 4 for j in range(4)] + [4] for i in range(4)] + [[4] * 5]
+    z4_zero = validate_table(rows)
+    witness = divides(Z2, z4_zero)
+    everything = list(closures(z4_zero, 2))
+    assert built == [z4_zero]
+    assert calls == everything[:everything.index((witness.sub_generators,
+                                                   witness.sub_elements)) + 1]
+    # L4 with an identity: the list holds no closure of 4 elements, and the
+    # witness comes from the preimage search after it
+    built.clear()
+    l4_1 = validate_table([list(range(5))] + [[x] * 5 for x in range(1, 5)])
+    witness = divides(FiniteSemigroup.from_rows([[x] * 4 for x in range(4)]), l4_1)
+    assert built == [l4_1] and list(closures(l4_1, 4)) == []
+    assert witness.sub_generators == (1, 2, 3, 4)
 
 
 def test_all_congruences_cap_counts_held_congruences():
@@ -582,6 +599,21 @@ def test_divides_witness_matches_full_lattice_search():
                     w.sub_generators, w.sub_elements, w.partition, w.iso.map
                 )
                 assert got == _divides_over_full_lattice(t, s, quotient_only)
+
+
+def test_a_capped_decision_leaves_the_witness_search_as_it_was():
+    # at these caps the preimage search stops undecided, but the lattice
+    # searches finish: the witness is the one the full search finds
+    from lamrho import SearchCapError
+    from lamrho.semigroup import _division_map
+
+    s = product_table(Z2, builtin_system("flip_flop"))
+    for t, quotient_only, cap in ((L2_1, True, 9), (L2, False, 5)):
+        with pytest.raises(SearchCapError):
+            _division_map(t, s, quotient_only, cap)
+        w = divides(t, s, quotient_only=quotient_only, congruence_cap=cap)
+        got = (w.sub_generators, w.sub_elements, w.partition, w.iso.map)
+        assert got == _divides_over_full_lattice(t, s, quotient_only)
 
 
 def test_divides_tries_the_smaller_closure_first():
