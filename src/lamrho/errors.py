@@ -43,8 +43,9 @@ class SearchCapError(LamrhoError):
 
 # Default caps: the elements of a product universe or bounded free system
 # and of the semigroups an isomorphism search takes (SizeCapError), and
-# the congruences a division search builds (SearchCapError). They live
-# here so that the CLI parser reads them without loading an engine.
+# the congruences a lattice search holds and the map-search nodes of a
+# division search (SearchCapError). They live here so that the CLI parser
+# reads them without loading an engine.
 DEFAULT_UNIVERSE_CAP = 10**6
 DEFAULT_ISO_CAP = 32
 DEFAULT_CONGRUENCE_CAP = 20000

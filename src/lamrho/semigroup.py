@@ -389,7 +389,7 @@ def _partition(leaders) -> Partition:
     return Partition.from_classes(len(leaders), groups.values())
 
 
-def _close(table, gens, parent: list, classes: int, work: list, floor: int):
+def _close(table, gens, parent: list, classes: int, work: list) -> int:
     """Merge the pairs on ``work`` into ``parent``, pushing each pair that
     merges two classes through the left and right translations by ``gens``.
 
@@ -397,7 +397,7 @@ def _close(table, gens, parent: list, classes: int, work: list, floor: int):
     congruence above ``parent`` and ``work``: every translation is a
     composite of generator translations, and the merging pairs connect
     every class, so the result is closed under all of them. Returns the
-    number of classes, or None as soon as it falls below ``floor``.
+    number of classes.
     """
     while work:
         a, b = work.pop()
@@ -413,8 +413,6 @@ def _close(table, gens, parent: list, classes: int, work: list, floor: int):
         else:
             parent[ra] = rb
         classes -= 1
-        if classes < floor:
-            return None
         row_a, row_b = table[a], table[b]
         for g in gens:
             row_g = table[g]
@@ -437,7 +435,7 @@ def congruence_generated_by(sg: FiniteSemigroup, pairs) -> Partition:
             raise OutOfRangeEntryError(f"pair ({a},{b}) out of range")
         work.append((a, b))
     parent = list(range(sg.size))
-    _close(sg.table, greedy_generators(sg), parent, sg.size, work, 1)
+    _close(sg.table, greedy_generators(sg), parent, sg.size, work)
     return _partition(_leaders(parent))
 
 
@@ -468,19 +466,6 @@ def all_congruences(sg: FiniteSemigroup, cap: int = DEFAULT_CONGRUENCE_CAP):
     tuple). ``cap`` counts the congruences the search holds, the discrete
     one included; SearchCapError is raised as soon as it holds more.
     """
-    return _congruences_above(sg, cap, 1)
-
-
-def _congruences_above(sg: FiniteSemigroup, cap: int, floor: int) -> list:
-    """The congruences of sg with at least ``floor`` classes, in the order
-    of :func:`all_congruences`.
-
-    A join never has more classes than either operand, so a congruence
-    with k >= floor classes is the join of the principal congruences below
-    it, each with at least k classes, taken one at a time through partial
-    joins that all keep at least k classes. Principals and joins that fall
-    below the floor are therefore dropped as soon as they do.
-    """
     n, table = sg.size, sg.table
     gens = greedy_generators(sg)
     known = {tuple(range(n)): n}  # leaders -> number of classes
@@ -494,9 +479,7 @@ def _congruences_above(sg: FiniteSemigroup, cap: int, floor: int) -> list:
     for a in range(n):
         for b in range(a + 1, n):
             parent = list(range(n))
-            classes = _close(table, gens, parent, n, [(a, b)], floor)
-            if classes is None:
-                continue
+            classes = _close(table, gens, parent, n, [(a, b)])
             leaders = _leaders(parent)
             if leaders not in known:
                 hold(leaders, classes)
@@ -509,9 +492,7 @@ def _congruences_above(sg: FiniteSemigroup, cap: int, floor: int) -> list:
                 # a join of congruences is their join as equivalences:
                 # merge the pairs with no generators to push them through
                 parent = list(base)
-                classes = _close(table, (), parent, known[base], list(pairs), floor)
-                if classes is None:
-                    continue
+                classes = _close(table, (), parent, known[base], list(pairs))
                 joined = _leaders(parent)
                 if joined not in known:
                     hold(joined, classes)
@@ -650,6 +631,44 @@ def _refine(table, c: list, count: int, ids: dict) -> list:
     ]
 
 
+def _maps(ta, tb, slots, tick=lambda: None, injective=False, onto=False, twins=None):
+    """Yields (preimages, phi) for each choice of one pair (x, y) per slot,
+    in turn, under which phi, extended by x -> y with :func:`_extend`,
+    stays a homomorphism from table ``ta`` into ``tb``; the preimages are
+    the x chosen, and an x already in the domain is skipped. Depth-first
+    in slot order, so maps come in lexicographic order of the choices.
+
+    ``injective`` keeps one-to-one maps only, and ``onto`` only maps that
+    cover ``tb``: the preimages must then generate the domain, so that the
+    :func:`_irreducibles` of ``tb`` are chosen images, and a branch with
+    too few slots left for them is cut. With ``twins`` (:func:`_twins` of
+    ``tb``) an image is chosen only once its twin has been, so of the maps
+    that permutations within twin classes carry into each other only the
+    least, by chosen images, is met; the slots must admit all of them.
+    ``tick`` is called before each extension, to count and cap the nodes.
+    """
+    needed = _irreducibles(tb) if onto else set()
+
+    def search(k, phi, gens, images):
+        if len(needed.difference(images)) > len(slots) - k:
+            return
+        if k == len(slots):
+            if not onto or len(set(phi.values())) == len(tb):
+                yield gens, phi
+            return
+        for x, y in slots[k]:
+            if x in phi:
+                continue
+            if twins and twins[y] is not None and twins[y] not in images:
+                continue
+            tick()
+            trial = dict(phi)
+            if _extend(ta, tb, trial, gens, x, y, injective):
+                yield from search(k + 1, trial, gens + [x], images + [y])
+
+    return search(0, {}, [], [])
+
+
 def _find_isomorphism(a, b) -> Homomorphism | None:
     """:func:`find_isomorphism` without its size cap."""
     if a.size != b.size:
@@ -658,26 +677,15 @@ def _find_isomorphism(a, b) -> Homomorphism | None:
     if colours is None:
         return None
     ca, cb = colours
-    gens = greedy_generators(a)
-    candidates = [[j for j, c in enumerate(cb) if c == ca[g]] for g in gens]
-
-    def backtrack(k, phi):
-        if k == len(gens):
-            # phi covers a, as greedy_generators walks the same edges; the
-            # check below keeps the search exact when a or b is a magma
-            try:
-                return Homomorphism(a, b, tuple(phi[x] for x in a.elements()))
-            except NotAHomomorphismError:
-                return None
-        for img in candidates[k]:
-            trial = dict(phi)
-            if _extend(a.table, b.table, trial, gens[:k], gens[k], img):
-                found = backtrack(k + 1, trial)
-                if found is not None:
-                    return found
-        return None
-
-    return backtrack(0, {})
+    slots = [[(g, j) for j, c in enumerate(cb) if c == ca[g]] for g in greedy_generators(a)]
+    for _, phi in _maps(a.table, b.table, slots, injective=True):
+        # phi covers a, as greedy_generators walks the same edges; the
+        # check keeps the search exact when a or b is a magma
+        try:
+            return Homomorphism(a, b, tuple(phi[x] for x in a.elements()))
+        except NotAHomomorphismError:
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +697,12 @@ class DivisionWitness:
     """Exhibits T as a quotient of a subsemigroup of S.
 
     ``sub_elements`` lists the subsemigroup in ambient indices (the whole
-    semigroup for strong division), ``partition`` is a congruence of the
-    reindexed subsemigroup, and ``iso`` maps its quotient onto T.
-    ``sub_generators`` generate the subsemigroup: None for the whole
-    semigroup, else its first generators of at most three, or the
-    preimages found by the decision in :func:`divides`.
+    semigroup for strong division), ``partition`` is the least kernel, by
+    class tuple, of a homomorphism from the reindexed subsemigroup onto T
+    (or the kernel of the decision's map in :func:`divides`), and ``iso``
+    maps its quotient onto T. ``sub_generators`` generate the
+    subsemigroup: None for the whole semigroup, else its first generators
+    of at most three, or the decision's preimages.
     """
 
     sub_generators: tuple[int, ...] | None
@@ -716,144 +725,134 @@ def divides(
     """Search for a witness that t divides s; both tables are taken to be
     associative.
 
-    When |t| < |s|, a complete decision runs first
-    (:func:`_division_map`): t divides s exactly when some preimages of
-    the greedy generators of t extend, along generator edges, to a
-    homomorphism from the subsemigroup they generate onto t (with
-    quotient_only, when some images in t of the greedy generators of s
-    extend to a homomorphism of s onto t). When it finds none, the answer
-    is None and no closure or congruence lattice is built.
+    Candidates are tried in order: the whole of s, then, unless
+    quotient_only, the closures of generator sets of size <= 3
+    (:func:`subsemigroup_closure`), sorted by (size, elements). The first
+    candidate U with a homomorphism onto t gives the witness: the least
+    kernel, by class tuple, of such a map (the least congruence of U whose
+    quotient is isomorphic to t) and the first isomorphism of its quotient
+    onto t. The maps are searched by :func:`_maps` over the images of U's
+    greedy generators, with the twins of t (:func:`_twins`) chosen in
+    order, as maps with one kernel differ by an automorphism of t. When
+    |U| = |t| the kernel is discrete and the isomorphism search decides.
 
-    Otherwise the witness search runs. With quotient_only, only
-    congruences of s itself are searched (t must appear directly as a
-    quotient). Otherwise the closures of generator sets of size <= 3
-    (:func:`subsemigroup_closure`) are searched as well, sorted by (size,
-    elements); the whole semigroup is tried before any closure is built.
-    Candidates are the congruences with exactly |t| classes, tried in the
-    order of :func:`all_congruences`. The lattice search keeps only
-    congruences with at least |t| classes (the class-count floor of
-    ``_congruences_above``), so ``congruence_cap`` counts only those: a
-    search that would hit the cap over the whole lattice may finish. Each
-    candidate quotient has |t| elements, and its isomorphism search onto t
-    runs uncapped.
+    Without quotient_only, when |t| < |s|, a complete decision runs first
+    (:func:`_division_map`): t divides s exactly when some preimages of the
+    greedy generators of t extend, along generator edges, to a
+    homomorphism from the subsemigroup they generate onto t. When it finds
+    none, the answer is None and no closure is built. Closures are tried
+    only when t has at most 3 :func:`_irreducibles`, as otherwise none maps
+    onto t; when they miss, the witness is the decision's own: the
+    preimages as ``sub_generators``, their sorted closure, the kernel of
+    the map and the first isomorphism of its quotient onto t.
 
-    Witness order: the whole semigroup, then the closures in their order,
-    then the decision's own witness, which the closures miss when t needs
-    more than 3 generators (or when a lattice search was truncated): the
-    preimages as ``sub_generators`` (None with quotient_only), their
-    sorted closure, the kernel of the map and the first isomorphism of its
-    quotient onto t.
-
-    ``congruence_cap`` also bounds the decision, counted in extensions
-    tried. A capped decision leaves the answer to the witness search, whose
-    miss is exact with quotient_only or when t has at most 3 greedy
-    generators; then the answer is None. SearchCapError is raised when the
-    miss is not exact: a congruence lattice was truncated, or a capped
-    decision leaves a t of more than 3 greedy generators undecided.
+    ``congruence_cap`` counts map-search nodes, the extensions tried by the
+    decision and by the kernel searches of one call together; past it
+    SearchCapError is raised and the answer is inconclusive. The
+    isomorphism of each quotient onto t is found uncapped.
     """
     if t.size > s.size:
         return None
-    decided, capped = None, False
-    if t.size < s.size:
-        # at |t| = |s| the discrete congruence and one isomorphism decide
-        try:
-            decided = _division_map(t, s, quotient_only, congruence_cap)
-        except SearchCapError:
-            capped = True
-        if decided is None and not capped:
-            return None
-    truncated = False
-
-    subs = [(None, tuple(s.elements()))]
-    if not quotient_only:
-        subs = itertools.chain(subs, _closures(s, t.size))
+    tick = _node_budget(congruence_cap)
+    decided, subs = None, [(None, tuple(s.elements()))]
+    if t.size < s.size:  # else every candidate has |t| elements
+        fits = _targets(s, t)
+        if not quotient_only:
+            decided = _division_map(t, s, fits, tick)
+            if decided is None:
+                return None
+            if len(_irreducibles(t.table)) <= 3:  # else no closure maps onto t
+                subs = itertools.chain(subs, _closures(s, t.size))
+        twins = _twins(t)
     for gens, elems in subs:
         sub = s if gens is None else subsemigroup_table(s, elems)
-        try:
-            congruences = _congruences_above(sub, congruence_cap, t.size)
-        except SearchCapError:
-            truncated = True
-            continue
-        for part in congruences:
-            if part.num_classes() != t.size:
+        if sub.size == t.size:  # a map onto t is one-to-one
+            part = Partition.discrete(t.size)
+        else:
+            slots = [[(g, y) for y in fits[elems[g]]] for g in greedy_generators(sub)]
+            maps = _maps(sub.table, t.table, slots, tick, onto=True, twins=twins)
+            kernels = (_partition([phi[x] for x in sub.elements()]) for _, phi in maps)
+            part = min(kernels, key=lambda p: p.classes, default=None)
+            if part is None:
                 continue
-            q = quotient(sub, part)
-            iso = _find_isomorphism(q, t)
-            if iso is not None:
-                return DivisionWitness(gens, elems, part, iso)
-    if decided is not None:
-        gens, phi = decided
-        elems = tuple(sorted(phi))
-        part = _partition([phi[x] for x in elems])  # the kernel, by image
-        q = quotient(subsemigroup_table(s, elems), part)
-        return DivisionWitness(gens, elems, part, _find_isomorphism(q, t))
-    if truncated:
-        raise SearchCapError("division search truncated; result inconclusive")
-    if capped and not quotient_only:
-        k = len(greedy_generators(t))
-        if k > 3:
-            raise SearchCapError(
-                f"division decision stopped after {congruence_cap} extensions and "
-                f"t has {k} > 3 greedy generators; result inconclusive"
-            )
-    return None
-
-
-def _division_map(t: FiniteSemigroup, s: FiniteSemigroup, quotient_only: bool, cap: int):
-    """A homomorphism from a subsemigroup of s onto t, as (preimages, map
-    on their closure), or None when there is none; the preimages are None
-    with quotient_only, where the subsemigroup is s itself.
-
-    Full mode tries, for each greedy generator t_i of t in turn, every
-    preimage outside the closure of the earlier ones; quotient-only mode
-    tries every image in t for each greedy generator of s and keeps a map
-    that is onto. Each choice extends the map by :func:`_extend` without
-    its injectivity check. A homomorphism sends x to y only if y's index is
-    at most x's and its period divides x's. An idempotent t_i needs only
-    idempotent preimages, as s^ω is a preimage of t_i whenever s is, and
-    generates less. Raises SearchCapError past ``cap`` extensions.
-    """
-    ps = [element_order_profile(s, x) for x in s.elements()]
-    pt = [element_order_profile(t, y) for y in t.elements()]
-
-    def maps_to(x, y):
-        return pt[y][0] <= ps[x][0] and ps[x][1] % pt[y][1] == 0
-
-    if quotient_only:
-        slots = [[(g, y) for y in t.elements() if maps_to(g, y)] for g in greedy_generators(s)]
-    else:
-        slots = [
-            [
-                (x, y)
-                for x in s.elements()
-                if maps_to(x, y) and (s.is_idempotent(x) or not t.is_idempotent(y))
-            ]
-            for y in greedy_generators(t)
-        ]
-    nodes = 0
-
-    def search(k, phi, gens):
-        nonlocal nodes
-        if k == len(slots):
-            if not quotient_only:
-                return tuple(gens), phi
-            return (None, phi) if len(set(phi.values())) == t.size else None
-        for x, y in slots[k]:
-            # an x inside <gens> maps into <t_1..t_k-1>, which misses the
-            # greedy t_k; a greedy generator of s is never inside
-            if x in phi:
-                continue
-            nodes += 1
-            if nodes > cap:
-                raise SearchCapError(f"division decision capped at {cap} extensions")
-            trial = dict(phi)
-            if _extend(s.table, t.table, trial, gens, x, y, injective=False):
-                found = search(k + 1, trial, gens + [x])
-                if found is not None:
-                    return found
+        iso = _find_isomorphism(quotient(sub, part), t)
+        if iso is not None:
+            return DivisionWitness(gens, elems, part, iso)
+    if decided is None:
         return None
+    gens, phi = decided
+    elems = tuple(sorted(phi))
+    part = _partition([phi[x] for x in elems])  # the kernel, by image
+    q = quotient(subsemigroup_table(s, elems), part)
+    return DivisionWitness(gens, elems, part, _find_isomorphism(q, t))
 
-    return search(0, {}, [])
+
+def _irreducibles(table) -> set:
+    """The elements that are no product of two other elements: each lies in
+    every generating set, and in the images of the generators of any map
+    onto the table."""
+    return set(range(len(table))).difference(
+        z for x, row in enumerate(table) for y, z in enumerate(row) if z != x and z != y
+    )
+
+
+def _twins(t: FiniteSemigroup) -> list:
+    """For each element y of t, the greatest x < y whose swap with y is an
+    automorphism of t, or None. Twins form classes, and every permutation
+    within a class is an automorphism too."""
+    twins, pairs = [None] * t.size, list(itertools.product(t.elements(), repeat=2))
+    for x, y in itertools.combinations(t.elements(), 2):
+        swap = [y if z == x else x if z == y else z for z in t.elements()]
+        if all(swap[t.mul(a, b)] == t.mul(swap[a], swap[b]) for a, b in pairs):
+            twins[y] = x
+    return twins
+
+
+def _node_budget(cap: int):
+    """A tick for :func:`_maps` that raises SearchCapError on call cap + 1."""
+    nodes = itertools.count(1)
+
+    def tick():
+        if next(nodes) > cap:
+            raise SearchCapError(f"division search capped at {cap} map-search nodes")
+
+    return tick
+
+
+def _targets(s: FiniteSemigroup, t: FiniteSemigroup) -> list:
+    """For each element x of s, the elements y of t that a homomorphism may
+    send x to: y's index is at most x's and its period divides x's."""
+    pt = [element_order_profile(t, y) for y in t.elements()]
+    out = []
+    for x in s.elements():
+        index, period = element_order_profile(s, x)
+        out.append([y for y, (i, p) in enumerate(pt) if i <= index and period % p == 0])
+    return out
+
+
+def _division_map(t: FiniteSemigroup, s: FiniteSemigroup, fits: list, tick):
+    """A homomorphism from a subsemigroup of s onto t, as (preimages, map
+    on their closure), or None when there is none.
+
+    For each greedy generator t_i of t in turn, :func:`_maps` tries every
+    preimage outside the closure of the earlier ones (one inside maps into
+    the closure of t_1..t_i-1, which misses the greedy t_i), among the
+    elements that ``fits``, :func:`_targets` of s and t, allows, and extends
+    the map without its injectivity check. An idempotent t_i needs only
+    idempotent preimages, as s^ω is a preimage of t_i whenever s is, and
+    generates less.
+    """
+    slots = [
+        [
+            (x, y)
+            for x in s.elements()
+            if y in fits[x] and (s.is_idempotent(x) or not t.is_idempotent(y))
+        ]
+        for y in greedy_generators(t)
+    ]
+    for gens, phi in _maps(s.table, t.table, slots, tick):
+        return tuple(gens), phi
+    return None
 
 
 def _closures(s: FiniteSemigroup, min_size: int):

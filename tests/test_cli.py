@@ -411,6 +411,9 @@ def test_malformed_maps_sizes_and_bounds_are_input_errors(capsys, argv):
          "inconclusive: universe has 12 elements, cap is 10"),
         (("iso", "--base", "z2", "--h", "z2", "--cap", "1"),
          "inconclusive: isomorphism search capped at 1 elements"),
+        # the decision alone needs 12 extensions
+        (("divides", "--base", L4_1, "--h", L4, "--cap", "10"),
+         "inconclusive: division search capped at 10 map-search nodes"),
     ],
 )
 def test_cap_hit_is_inconclusive_not_refuted(capsys, argv, expected):

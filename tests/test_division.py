@@ -1,6 +1,7 @@
-"""The complete division decision of ``divides`` against a brute force over
-every closed subset and every congruence, its witness when the closures of
-at most three generators miss, and its node cap."""
+"""The complete division decision of ``divides`` and its kernel search
+against a brute force over every closed subset and every congruence, the
+witness when the closures of at most three generators miss, and the node
+cap."""
 
 import itertools
 
@@ -22,7 +23,7 @@ from lamrho import (
     subsemigroup_table,
     validate_table,
 )
-from lamrho.semigroup import _division_map, _extend
+from lamrho.semigroup import _division_map, _extend, _maps, _node_budget, _targets, _twins
 
 
 def _relabel(rows, p):
@@ -99,6 +100,7 @@ PRODUCTS = [
 L4 = validate_table([[x] * 4 for x in range(4)])
 # L4 with an identity adjoined as element 0; its left zeros are 1..4
 L4_1 = validate_table([list(range(5))] + [[x] * 5 for x in range(1, 5)])
+L8 = validate_table([[x] * 8 for x in range(8)])
 
 
 def test_the_small_semigroups_are_all_there():
@@ -120,35 +122,84 @@ def test_divides_matches_brute_force_on_small_semigroups():
     assert answers == 7500
 
 
+def _onto_maps(t, s, twins=None):
+    """The maps onto t that the kernel search of divides meets on the whole
+    of s: images of the greedy generators of s, twins chosen in order."""
+    fits = _targets(s, t)
+    slots = [[(g, y) for y in fits[g]] for g in sgmod.greedy_generators(s)]
+    return [phi for _, phi in _maps(s.table, t.table, slots, onto=True, twins=twins)]
+
+
+def _automorphisms(t):
+    pairs = list(itertools.product(t.elements(), repeat=2))
+    return [
+        p for p in itertools.permutations(t.elements())
+        if all(p[t.mul(x, y)] == t.mul(p[x], p[y]) for x, y in pairs)
+    ]
+
+
 def test_the_decision_matches_brute_force_on_small_semigroups():
-    # the decision alone, where divides calls it: |t| < |s|
+    # the search that decides, where divides calls it, |t| < |s|: the
+    # preimage search, and with quotient_only the kernel search of s
     targets = [FiniteSemigroup.from_rows(rows) for rows in CLASSES]
     for s in PRODUCTS + [FiniteSemigroup.from_rows(r) for r in LABELLED if len(r) == 3]:
         for quotient_only in (True, False):
             expected = _divisors(s.table, quotient_only)
             for t in targets:
                 if t.size < s.size:
-                    found = _division_map(t, s, quotient_only, 10**6)
+                    if quotient_only:
+                        found = _onto_maps(t, s, _twins(t)) or None
+                    else:
+                        found = _division_map(t, s, _targets(s, t), _node_budget(10**6))
                     assert (found is not None) == (t.table in expected)
 
 
 def test_a_decision_map_is_onto_and_a_homomorphism():
+    # the preimage search's map, and every map of the kernel search of s
     for s in PRODUCTS + [L4_1]:
         for rows in CLASSES:
             t = FiniteSemigroup.from_rows(rows)
-            for quotient_only in (True, False):
-                found = _division_map(t, s, quotient_only, 10**6)
-                if found is None:
-                    continue
-                gens, phi = found
+            found = _division_map(t, s, _targets(s, t), _node_budget(10**6))
+            kernel_maps = _onto_maps(t, s, _twins(t))
+            for phi in kernel_maps + ([] if found is None else [found[1]]):
                 assert set(phi.values()) == set(t.elements())
                 assert all(
                     phi[s.mul(x, y)] == t.mul(phi[x], phi[y]) for x in phi for y in phi
                 )
-                if quotient_only:
-                    assert gens is None and sorted(phi) == list(s.elements())
-                else:
-                    assert [phi[x] for x in gens] == list(sgmod.greedy_generators(t))
+            assert all(sorted(phi) == list(s.elements()) for phi in kernel_maps)
+            if found is not None:
+                gens, phi = found
+                assert [phi[x] for x in gens] == list(sgmod.greedy_generators(t))
+
+
+def test_twins_are_the_swaps_among_the_automorphisms():
+    for t in [FiniteSemigroup.from_rows(rows) for rows in CLASSES] + [L4]:
+        autos = set(_automorphisms(t))
+        swaps = []
+        for y in t.elements():
+            swapped = [x for x in range(y) if tuple(
+                y if z == x else x if z == y else z for z in t.elements()) in autos]
+            swaps.append(swapped[-1] if swapped else None)
+        assert _twins(t) == swaps
+
+
+def test_the_kernel_search_meets_each_kernel_once():
+    # maps onto t with one kernel differ by an automorphism of t; on these
+    # targets the swaps of twins generate every automorphism, so choosing
+    # twins in order leaves one map per kernel
+    def kernels(maps):
+        return [sgmod._partition([phi[x] for x in sorted(phi)]).classes for phi in maps]
+
+    pruned = 0
+    for s in PRODUCTS + [L4_1, L8]:
+        for t in [FiniteSemigroup.from_rows(rows) for rows in CLASSES] + [L4]:
+            if t.size < s.size:
+                once = kernels(_onto_maps(t, s, _twins(t)))
+                every = kernels(_onto_maps(t, s))
+                assert len(once) == len(set(once))
+                assert set(once) == set(every)
+                pruned += len(every) > len(once)
+    assert pruned > 0
 
 
 def test_left_zero_four_divides_it_with_an_identity():
@@ -183,25 +234,29 @@ def test_the_decision_witness_is_the_kernel_of_its_map():
 
 
 def test_a_capped_decision_with_four_generators_is_inconclusive():
-    # the decision needs 12 extensions, the lattice search finishes within 7
+    # the decision needs 12 extensions, and with the kernel search of L4_1
+    # the call needs 17
     with pytest.raises(SearchCapError):
-        _division_map(L4, L4_1, False, 11)
-    with pytest.raises(SearchCapError, match="after 8 extensions .* 4 > 3 greedy generators"):
-        divides(L4, L4_1, congruence_cap=8)
-    assert divides(L4, L4_1, congruence_cap=12) is not None
-    # with quotient_only the miss is exact
+        _division_map(L4, L4_1, _targets(L4_1, L4), _node_budget(11))
+    assert _division_map(L4, L4_1, _targets(L4_1, L4), _node_budget(12)) is not None
+    with pytest.raises(SearchCapError, match="capped at 16 map-search nodes"):
+        divides(L4, L4_1, congruence_cap=16)
+    assert divides(L4, L4_1, congruence_cap=17) is not None
+    # with quotient_only the kernel search of L4_1 alone decides
     with pytest.raises(SearchCapError):
-        _division_map(L4, L4_1, True, 8)
-    assert divides(L4, L4_1, quotient_only=True, congruence_cap=8) is None
+        divides(L4, L4_1, quotient_only=True, congruence_cap=4)
+    assert divides(L4, L4_1, quotient_only=True, congruence_cap=5) is None
 
 
 def test_a_capped_decision_with_few_generators_keeps_an_exact_miss():
     # R2 does not divide the flip-flop product; the decision needs 9
-    # extensions to say so, and the lattice search finishes within 7
+    # extensions to say so, and a capped decision is inconclusive
     s = PRODUCTS[2]
     with pytest.raises(SearchCapError):
-        _division_map(R2, s, False, 8)
-    assert divides(R2, s, congruence_cap=8) is None
+        _division_map(R2, s, _targets(s, R2), _node_budget(8))
+    with pytest.raises(SearchCapError):
+        divides(R2, s, congruence_cap=8)
+    assert divides(R2, s, congruence_cap=9) is None
 
 
 def test_the_decision_counts_extensions_against_the_cap():
@@ -209,20 +264,38 @@ def test_the_decision_counts_extensions_against_the_cap():
     original = sgmod._extend
 
     def counting(*args, **kwargs):
-        # greedy_generators walks closures with the injective default
-        if kwargs.get("injective", True) is False:
+        # the decision's extensions are the ones that may merge images
+        if args[6:] == (False,):
             calls.append(args)
         return original(*args, **kwargs)
 
     s = PRODUCTS[2]
+    fits = _targets(s, L2_1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sgmod, "_extend", counting)
-        _division_map(L2_1, s, True, 10**6)
+        _division_map(L2_1, s, fits, _node_budget(10**6))
         needed = len(calls)
         assert needed > 1
-        with pytest.raises(SearchCapError, match=f"capped at {needed - 1} extensions"):
-            _division_map(L2_1, s, True, needed - 1)
-        assert _division_map(L2_1, s, True, needed) is not None
+        with pytest.raises(SearchCapError, match=f"capped at {needed - 1} map-search nodes"):
+            _division_map(L2_1, s, fits, _node_budget(needed - 1))
+        assert _division_map(L2_1, s, fits, _node_budget(needed)) is not None
+
+
+def test_a_target_on_four_generators_builds_no_closure_list():
+    # all 4 elements of L4 are products of no two others, so no closure of
+    # 3 generators maps onto it: the whole product misses and the
+    # decision's witness follows
+    def refuse(*args):
+        raise AssertionError("closure list built")
+
+    s = direct_product(L4_1, L2_1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sgmod, "_closures", refuse)
+        w = divides(L4, s)
+    assert w.sub_generators == (1, 5, 8, 11)
+    assert w.sub_elements == (1, 4, 5, 7, 8, 10, 11)
+    assert w.partition.classes == ((0, 1, 3, 5), (2,), (4,), (6,))
+    assert w.iso.map == (0, 1, 2, 3)
 
 
 def test_extend_merges_images_when_not_injective():

@@ -20,14 +20,18 @@ from lamrho import (
     NotACongruenceError,
     NotAHomomorphismError,
     Partition,
+    RightAction,
     all_congruences,
     congruence_generated_by,
     direct_product,
     divides,
     find_isomorphism,
+    from_right_action,
+    from_two_sided_action,
     identity_element,
     is_congruence,
     is_group,
+    natural_two_sided_action,
     product_table,
     builtin_system,
     quotient,
@@ -251,9 +255,11 @@ def test_find_isomorphism_symmetry_on_catalog():
 def test_divides_reports_inconclusive_when_truncated():
     from lamrho import SearchCapError
 
+    # ruling out every map of the flip-flop product onto Z3 takes 4 nodes
     flip = product_table(Z2, builtin_system("flip_flop"))
-    with pytest.raises(SearchCapError):
-        divides(Z3, flip, quotient_only=True, congruence_cap=1)
+    with pytest.raises(SearchCapError, match="capped at 3 map-search nodes"):
+        divides(Z3, flip, quotient_only=True, congruence_cap=3)
+    assert divides(Z3, flip, quotient_only=True, congruence_cap=4) is None
 
 
 def test_homomorphism_validation():
@@ -474,12 +480,13 @@ def test_divides_builds_no_closure_when_the_whole_semigroup_hits(monkeypatch):
     assert built == [z4_zero]
     assert calls == everything[:everything.index((witness.sub_generators,
                                                    witness.sub_elements)) + 1]
-    # L4 with an identity: the list holds no closure of 4 elements, and the
-    # witness comes from the preimage search after it
+    # L4 with an identity: all 4 elements of L4 are products of no two
+    # others, so no list is built, and the witness comes from the preimage
+    # search
     built.clear()
     l4_1 = validate_table([list(range(5))] + [[x] * 5 for x in range(1, 5)])
     witness = divides(FiniteSemigroup.from_rows([[x] * 4 for x in range(4)]), l4_1)
-    assert built == [l4_1] and list(closures(l4_1, 4)) == []
+    assert built == []
     assert witness.sub_generators == (1, 2, 3, 4)
 
 
@@ -566,20 +573,24 @@ def test_generated_congruence_on_a_long_merge_chain():
 
 def _divides_over_full_lattice(t, s, quotient_only):
     """The documented division search, run over every congruence."""
-    whole = tuple(s.elements())
-    subs = [(None, whole)]
-    if not quotient_only:
+
+    def subs():
+        whole = tuple(s.elements())
+        yield None, whole
+        if quotient_only:
+            return
         first_gens = {}
         for k in (1, 2, 3):
             for gens in itertools.combinations(whole, k):
                 closed = subsemigroup_closure(s, gens)
                 if closed != whole and len(closed) >= t.size:
                     first_gens.setdefault(closed, gens)
-        subs += sorted(
+        yield from sorted(
             ((gens, closed) for closed, gens in first_gens.items()),
             key=lambda item: (len(item[1]), item[1]),
         )
-    for gens, elems in subs:
+
+    for gens, elems in subs():
         sub = s if gens is None else subsemigroup_table(s, elems)
         for part in all_congruences(sub):
             if part.num_classes() == t.size:
@@ -589,31 +600,69 @@ def _divides_over_full_lattice(t, s, quotient_only):
     return None
 
 
+def _witness(t, s, quotient_only=False, cap=20000):
+    w = divides(t, s, quotient_only=quotient_only, congruence_cap=cap)
+    return None if w is None else (w.sub_generators, w.sub_elements, w.partition, w.iso.map)
+
+
+def _regular_action(base):
+    act = tuple(tuple(base.mul(x, y) for y in base.elements()) for x in base.elements())
+    return RightAction(base, base.size, act)
+
+
 def test_divides_witness_matches_full_lattice_search():
-    for name in ("left_zero", "non_semidirect", "flip_flop"):
-        s = product_table(Z2, builtin_system(name))
-        for t in CATALOG.values():
-            for quotient_only in (True, False):
-                w = divides(t, s, quotient_only=quotient_only)
-                got = None if w is None else (
-                    w.sub_generators, w.sub_elements, w.partition, w.iso.map
-                )
-                assert got == _divides_over_full_lattice(t, s, quotient_only)
+    # the three small products and the 32-element product of Z2 over the
+    # two-sided action of L2 against every catalog target, and Z3 wr Z3
+    # (81 elements) against the targets it has as quotients
+    products = [product_table(Z2, builtin_system(name))
+                for name in ("left_zero", "non_semidirect", "flip_flop")]
+    products.append(product_table(Z2, from_two_sided_action(natural_two_sided_action(L2))))
+    w = product_table(Z3, from_right_action(_regular_action(Z3)))
+    pairs = [(t, s) for s in products for t in CATALOG.values()] + [(Z3, w), (TRIVIAL, w)]
+    for t, s in pairs:
+        for quotient_only in (True, False):
+            got = _witness(t, s, quotient_only)
+            assert got == _divides_over_full_lattice(t, s, quotient_only)
 
 
 def test_a_capped_decision_leaves_the_witness_search_as_it_was():
-    # at these caps the preimage search stops undecided, but the lattice
-    # searches finish: the witness is the one the full search finds
+    # a search one node short of what it needs is inconclusive; at the
+    # count it needs, the witness is the one the full search finds
     from lamrho import SearchCapError
-    from lamrho.semigroup import _division_map
 
     s = product_table(Z2, builtin_system("flip_flop"))
-    for t, quotient_only, cap in ((L2_1, True, 9), (L2, False, 5)):
+    for t, quotient_only, needed in ((L2_1, True, 15), (L2, False, 13)):
         with pytest.raises(SearchCapError):
-            _division_map(t, s, quotient_only, cap)
-        w = divides(t, s, quotient_only=quotient_only, congruence_cap=cap)
-        got = (w.sub_generators, w.sub_elements, w.partition, w.iso.map)
+            divides(t, s, quotient_only=quotient_only, congruence_cap=needed - 1)
+        got = _witness(t, s, quotient_only, needed)
         assert got == _divides_over_full_lattice(t, s, quotient_only)
+
+
+def test_choosing_twins_in_order_keeps_the_kernel_search_small():
+    # every map of L8 into L4 is a homomorphism, and each kernel is met by
+    # 4! of them; choosing the twin zeros of L4 in order meets it once
+    from lamrho import SearchCapError
+    from lamrho.semigroup import _maps, _node_budget, _targets, greedy_generators
+
+    l4, l8 = (validate_table([[x] * n for x in range(n)]) for n in (4, 8))
+    r4 = validate_table([list(range(4))] * 4)
+    for t, s, cap in ((l4, l8, 4000), (R2, r4, 25)):
+        assert _witness(t, s, cap=cap) == _divides_over_full_lattice(t, s, False)
+        # the same search with twins in any order passes the cap
+        fits = _targets(s, t)
+        slots = [[(g, y) for y in fits[g]] for g in greedy_generators(s)]
+        with pytest.raises(SearchCapError):
+            list(_maps(s.table, t.table, slots, _node_budget(cap), onto=True))
+
+
+def test_irreducible_images_keep_a_large_left_zero_target_under_the_cap():
+    # every element of L8 is a product of no two others, so each is a chosen
+    # image of an onto map, and a branch with too few slots left for the
+    # missing ones is cut; with twins alone L8 in L9 passed 20,000 nodes
+    l8, l9 = (validate_table([[x] * n for x in range(n)]) for n in (8, 9))
+    w = divides(l8, l9, congruence_cap=600)
+    assert (w.sub_generators, w.sub_elements) == (None, tuple(range(9)))
+    assert w.partition.classes == tuple((x,) for x in range(7)) + ((7, 8),)
 
 
 def test_divides_tries_the_smaller_closure_first():
