@@ -18,7 +18,9 @@ hashable values and enumeration order is plain tuple order.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import Iterator
@@ -35,9 +37,11 @@ AXIOMS = ("alpha", "beta", "gamma")
 
 EXHAUSTIVE_BASE_CAP = 3
 EXHAUSTIVE_FIBER_CAP = 3
-# Seeded enumeration keeps one 8-byte code per map of a slot: 2**24 codes
-# (128 MB) is every map between two fibers of 8.
+# Seeded enumeration keeps one 4-byte code per map of a slot: 2**24 codes
+# (64 MB) is every map between two fibers of 8.
 SEEDED_CODE_CAP = 2**24
+# Mersenne-Twister words fetched per getrandbits call in _shuffle.
+_SHUFFLE_WORDS = 2**12
 
 
 @dataclass(frozen=True)
@@ -285,14 +289,49 @@ def _slots(base, sizes, unital_only):
     return slots
 
 
+def _shuffle(rng, codes):
+    """Shuffle ``codes`` in place exactly as ``rng.shuffle(codes)`` does,
+    leaving ``rng`` in the same state.
+
+    ``random.shuffle`` swaps position i with ``_randbelow(i + 1)`` for i
+    from the last position down to 1, and ``_randbelow`` takes the top
+    k = (i+1).bit_length() bits of one 32-bit word, retrying while the
+    result exceeds i. Here the words come in bulk from one
+    ``getrandbits(32*m)``, first word least significant, and m never
+    exceeds the draws still to make, so no word is fetched that the
+    shuffle would not have used.
+    """
+    i = len(codes) - 1
+    while i > 0:
+        m = min(i, _SHUFFLE_WORDS)
+        words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        shift = 32 - (i + 1).bit_length()
+        floor = (1 << (31 - shift)) - 1  # least i with the same k
+        for word in words:
+            j = word >> shift
+            if j <= i:
+                codes[i], codes[j] = codes[j], codes[i]
+                i -= 1
+                if i < floor:
+                    shift += 1
+                    floor >>= 1
+
+
 def _candidates(slot, rng):
     """Every map I[ab] -> I[x] of one slot, as a function giving a fresh
     iterator on each visit.
 
     Exhaustive mode walks ``itertools.product``. Seeded mode keeps one
-    8-byte code per map, shuffled once; the base-``codomain`` digits of a
+    4-byte code per map, shuffled once by :func:`_shuffle`, which draws
+    the swaps of ``random.shuffle``; the base-``codomain`` digits of a
     code, most significant first, are the map's values, so the shuffle
-    permutes exactly the lexicographic list of maps.
+    permutes exactly the lexicographic list of maps. A code splits at
+    ``B = codomain**(domain//2)`` into a high and a low half, and the map
+    is ``high[code // B] + low[code % B]`` from two digit tables, each at
+    least ``codomain`` times shorter than the code list once domain >= 2; a
+    1-point map is its code.
 
     Every slot's ``codomain**domain`` codes are shuffled here, before the
     search starts, whatever the limit. A lazy draw cannot keep the stream
@@ -311,17 +350,20 @@ def _candidates(slot, rng):
             f"{kind}[{a},{b}] has {codomain}**{domain} = {count} maps, "
             f"cap is {SEEDED_CODE_CAP} codes"
         )
-    codes = array("q", range(count))
-    if len(codes) > 1:
-        rng.shuffle(codes)
-
-    def decode(code):
-        values = [0] * domain
-        for i in range(domain - 1, -1, -1):
-            code, values[i] = divmod(code, codomain)
-        return tuple(values)
-
-    return lambda: map(decode, codes)
+    codes = array("I", range(count))
+    _shuffle(rng, codes)
+    if domain == 1:
+        return lambda: zip(codes)
+    half = domain // 2
+    split = codomain**half
+    high = list(itertools.product(range(codomain), repeat=domain - half))
+    low = list(itertools.product(range(codomain), repeat=half))
+    splits = itertools.repeat(split)
+    return lambda: map(
+        operator.add,
+        map(high.__getitem__, map(operator.floordiv, codes, splits)),
+        map(low.__getitem__, map(operator.mod, codes, splits)),
+    )
 
 
 def _instances(base, sizes):
@@ -384,13 +426,18 @@ def enumerate_systems(
     fall back to seeded random backtracking (seed defaults to 0), still
     deterministic for a fixed seed. ``unital_only`` pins lam[a,1] and
     rho[1,a] to identities and yields nothing when the base is not a
-    monoid.
+    monoid. ``limit=0`` yields nothing and builds no candidate; a negative
+    limit raises MapRangeError.
     """
     sizes = tuple(index_sizes)
     if len(sizes) != base.size:
         raise MapRangeError("need one index size per base element")
     if any(k < 0 for k in sizes):
         raise MapRangeError("index sizes must be non-negative")
+    if limit is not None and limit < 0:
+        raise MapRangeError(f"limit must be non-negative, got {limit}")
+    if limit == 0:
+        return
     slots = _slots(base, sizes, unital_only)
     if slots is None:
         return

@@ -11,6 +11,7 @@ same violations in the same order.
 import itertools
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -32,6 +33,7 @@ from lamrho import (
     validate_transformation,
 )
 from lamrho.category import FreeTransformation, TruncatedFreeSystem
+from lamrho.system import _candidates, _shuffle
 
 BUILTIN = ("flip_flop", "left_zero", "non_semidirect", "boolean_shadow")
 
@@ -295,6 +297,67 @@ def test_seeded_enumeration_stores_codes_not_tuples():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def test_seeded_enumeration_stores_4_byte_codes():
+    # two 823,543-code slots: about 6.6 MB of 4-byte codes, 13.2 MB of 8-byte
+    tracemalloc.start()
+    try:
+        next(enumerate_systems(TRIVIAL, (7,), limit=1, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_limit_zero_builds_no_codes():
+    tracemalloc.start()
+    try:
+        assert list(enumerate_systems(TRIVIAL, (7,), limit=0, seed=1)) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+SHUFFLE_SIZES = sorted(
+    set(range(71)) | {2**k + d for k in range(1, 18) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_bulk_shuffle_is_random_shuffle(seed):
+    assert array("I").itemsize == 4
+    for n in SHUFFLE_SIZES:
+        expected, got = list(range(n)), array("I", range(n))
+        reference, rng = random.Random(seed), random.Random(seed)
+        reference.shuffle(expected)
+        _shuffle(rng, got)
+        assert got.tolist() == expected, n
+        assert rng.getstate() == reference.getstate(), n
+
+
+def digits(code, domain, codomain):
+    values = []
+    for _ in range(domain):
+        code, digit = divmod(code, codomain)
+        values.append(digit)
+    return tuple(reversed(values))
+
+
+DECODE_GRID = [(d, c) for d in range(6) for c in range(5)] + [(1, 5000), (2, 70)]
+
+
+@pytest.mark.parametrize("domain,codomain", DECODE_GRID)
+def test_seeded_candidates_are_the_digits_of_shuffled_codes(domain, codomain):
+    reference, rng = random.Random(3), random.Random(3)
+    codes = list(range(codomain**domain))
+    reference.shuffle(codes)
+    expected = [digits(code, domain, codomain) for code in codes]
+    visit = _candidates(("lam", 0, 0, domain, codomain, None), rng)
+    assert rng.getstate() == reference.getstate()
+    assert list(visit()) == expected
+    assert list(visit()) == expected  # a fresh iterator on every visit
 
 
 def test_seeded_enumeration_checks_its_cap_before_allocating():

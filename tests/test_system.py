@@ -188,6 +188,12 @@ def test_enumeration_rejects_negative_sizes():
         list(enumerate_systems(Z2, [1, -1]))
 
 
+@pytest.mark.parametrize("seed", [None, 1])
+def test_enumeration_rejects_a_negative_limit(seed):
+    with pytest.raises(MapRangeError, match="limit must be non-negative, got -1"):
+        list(enumerate_systems(TRIVIAL, [2], limit=-1, seed=seed))
+
+
 def _reference_slots_and_instances(base, sizes, unital_only):
     """The enumerator's slots and axiom instances built without slot
     arithmetic: slot positions come from a dict keyed by (kind, a, b), and
