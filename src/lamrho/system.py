@@ -33,8 +33,6 @@ from .errors import (
 )
 from .semigroup import FiniteSemigroup, identity_element, is_group
 
-AXIOMS = ("alpha", "beta", "gamma")
-
 EXHAUSTIVE_BASE_CAP = 3
 EXHAUSTIVE_FIBER_CAP = 3
 # Seeded enumeration keeps one 4-byte code per map of a slot: 2**24 codes
@@ -131,48 +129,50 @@ class AxiomViolation:
         )
 
 
-def _axiom_walk(system, elements, mul, out, first_only):
-    """Append ``(axiom, a, b, c, point)`` to ``out`` for every failing point.
-
-    Triples run in lexicographic order of ``elements``, then points, then
-    alpha, beta, gamma. ``mul`` returns None for a product outside the
-    system, and triples whose product ``abc`` falls outside are skipped.
-    Returns the number of in-range triples checked.
+def _axiom_checks(elements, mul, fiber_size, lam, rho):
+    """Yield ``(a, b, c, |I[abc]|, checks)`` for every triple whose product
+    abc is defined, in lexicographic order of ``elements``; ``mul`` returns
+    None for a product outside. ``checks`` holds alpha, beta and gamma, in
+    that order, as ``(axiom, f, g, h, k)`` read f o g == h o k, with k None
+    for the identity. ``lam(x, y)`` and ``rho(x, y)`` stand for the maps:
+    the maps themselves for a checker, slot positions for the enumerator.
     """
-    lam_map, rho_map, fiber_size = system.lam_map, system.rho_map, system.fiber_size
-    checked = 0
     for a in elements:
         for b in elements:
             ab = mul(a, b)
             if ab is None:
                 continue
-            lam_ab = lam_map(a, b)
-            rho_ab = rho_map(a, b)
+            lam_ab, rho_ab = lam(a, b), rho(a, b)
             for c in elements:
                 abc = mul(ab, c)
                 if abc is None:
                     continue
                 bc = mul(b, c)
-                checked += 1
-                lam_ab_c = lam_map(ab, c)
-                rho_a_bc = rho_map(a, bc)
-                lam_a_bc = lam_map(a, bc)
-                rho_b_c = rho_map(b, c)
-                lam_b_c = lam_map(b, c)
-                rho_ab_c = rho_map(ab, c)
-                for p in range(fiber_size(abc)):
-                    if lam_ab[lam_ab_c[p]] != lam_a_bc[p]:
-                        out.append(("alpha", a, b, c, p))
-                        if first_only:
-                            return checked
-                    if rho_b_c[rho_a_bc[p]] != rho_ab_c[p]:
-                        out.append(("beta", a, b, c, p))
-                        if first_only:
-                            return checked
-                    if rho_ab[lam_ab_c[p]] != lam_b_c[rho_a_bc[p]]:
-                        out.append(("gamma", a, b, c, p))
-                        if first_only:
-                            return checked
+                lam_ab_c, rho_a_bc = lam(ab, c), rho(a, bc)
+                yield a, b, c, fiber_size(abc), (
+                    ("alpha", lam_ab, lam_ab_c, lam(a, bc), None),
+                    ("beta", rho(b, c), rho_a_bc, rho(ab, c), None),
+                    ("gamma", rho_ab, lam_ab_c, lam(b, c), rho_a_bc),
+                )
+
+
+def _axiom_walk(system, elements, mul, out, first_only):
+    """Append ``(axiom, a, b, c, point)`` to ``out`` for every failing point
+    of the checks :func:`_axiom_checks` yields over ``system``'s maps:
+    triples in its order, then points, then alpha, beta, gamma. Returns the
+    number of triples checked, those with an empty I[abc] included.
+    """
+    checked = 0
+    for a, b, c, size, checks in _axiom_checks(
+        elements, mul, system.fiber_size, system.lam_map, system.rho_map
+    ):
+        checked += 1
+        for p in range(size):
+            for axiom, f, g, h, k in checks:
+                if f[g[p]] != (h[p] if k is None else h[k[p]]):
+                    out.append((axiom, a, b, c, p))
+                    if first_only:
+                        return checked
     return checked
 
 
@@ -367,39 +367,32 @@ def _candidates(slot, rng):
 
 
 def _instances(base, sizes):
-    """Axiom instances ``(axiom, |I[abc]|, slot positions)`` grouped by the
-    last slot they depend on: triples in lexicographic order, then alpha,
-    beta, gamma; triples with an empty I[abc] have none."""
+    """Axiom instances ``(axiom, |I[abc]|, slot positions)`` of
+    :func:`_axiom_checks` over slot positions, grouped by the last slot
+    they depend on: positions (f, g, h) read f o g == h, and (f, g, h, k)
+    read f o g == h o k. Triples with an empty I[abc] have none."""
     n = base.size
-    mul = base.mul
-
-    def lam(x, y):
-        return x * n + y
-
-    def rho(x, y):
-        return n * n + x * n + y
-
     by_last = [[] for _ in range(2 * n * n)]
-    for a, b, c in itertools.product(base.elements(), repeat=3):
-        ab, bc = mul(a, b), mul(b, c)
-        size = sizes[mul(ab, c)]
-        if not size:
-            continue
-        for inst in (
-            ("alpha", size, (lam(a, b), lam(ab, c), lam(a, bc))),
-            ("beta", size, (rho(b, c), rho(a, bc), rho(ab, c))),
-            ("gamma", size, (rho(a, b), lam(ab, c), lam(b, c), rho(a, bc))),
-        ):
-            by_last[max(inst[2])].append(inst)
+    for *_, size, checks in _axiom_checks(
+        base.elements(),
+        base.mul,
+        sizes.__getitem__,
+        lambda x, y: x * n + y,
+        lambda x, y: n * n + x * n + y,
+    ):
+        if size:
+            for axiom, f, g, h, k in checks:
+                deps = (f, g, h) if k is None else (f, g, h, k)
+                by_last[max(deps)].append((axiom, size, deps))
     return by_last
 
 
 def _instance_holds(inst, assign):
-    """alpha and beta read first o second == third, gamma reads
-    first o second == third o fourth, over the slots in ``deps``."""
-    axiom, size, deps = inst
+    """True when the maps at an instance's slot positions in ``assign``
+    compose as :func:`_instances` reads them, at every point."""
+    _, size, deps = inst
     first, second, third = assign[deps[0]], assign[deps[1]], assign[deps[2]]
-    if axiom == "gamma":
+    if len(deps) == 4:
         fourth = assign[deps[3]]
         for p in range(size):
             if first[second[p]] != third[fourth[p]]:
@@ -462,10 +455,8 @@ def enumerate_systems(
         if k == len(slots):
             lam = tuple(assign[: n * n])
             rho = tuple(assign[n * n :])
-            system = LrSystem(base, sizes, lam, rho)
-            validate_axioms(system)
             yielded += 1
-            yield system
+            yield LrSystem(base, sizes, lam, rho)
             return
         for cand in candidates[k]():
             assign[k] = cand

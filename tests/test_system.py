@@ -195,14 +195,10 @@ def test_enumeration_rejects_a_negative_limit(seed):
 
 
 def _reference_slots_and_instances(base, sizes, unital_only):
-    """The enumerator's slots and axiom instances built without slot
-    arithmetic: slot positions come from a dict keyed by (kind, a, b), and
-    the instances from walking maps that break all three axioms at the one
-    point of every nonempty fiber through ``_axiom_walk``."""
-    from types import SimpleNamespace
-
+    """The enumerator's slots and axiom instances built by hand: slot
+    positions come from a dict keyed by (kind, a, b), and the instances
+    from a plain triple loop that writes each axiom's maps out."""
     from lamrho.semigroup import identity_element
-    from lamrho.system import _axiom_walk
 
     n = base.size
     pairs = list(itertools.product(range(n), repeat=2))
@@ -228,28 +224,25 @@ def _reference_slots_and_instances(base, sizes, unital_only):
     for kind in ("lam", "rho"):
         for a, b in pairs:
             pos[kind, a, b] = len(pos)
-    probe = SimpleNamespace(
-        lam_map=lambda a, b: (1, 2, 3),
-        rho_map=lambda a, b: (1, 3, 0),
-        fiber_size=lambda s: min(sizes[s], 1),
-    )
-    found = []
-    _axiom_walk(probe, base.elements(), base.mul, found, False)
     by_last = [[] for _ in pos]
-    for _, a, b, c, _ in found[::3]:
-        ab, bc = base.mul(a, b), base.mul(b, c)
-        size = sizes[base.mul(ab, c)]
-        for axiom, maps in (
-            ("alpha", (("lam", a, b), ("lam", ab, c), ("lam", a, bc))),
-            ("beta", (("rho", b, c), ("rho", a, bc), ("rho", ab, c))),
-            ("gamma", (("rho", a, b), ("lam", ab, c), ("lam", b, c), ("rho", a, bc))),
-        ):
-            deps = tuple(pos[m] for m in maps)
-            by_last[max(deps)].append((axiom, size, deps))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                ab, bc = base.mul(a, b), base.mul(b, c)
+                size = sizes[base.mul(ab, c)]
+                if size == 0:
+                    continue
+                for axiom, maps in (
+                    ("alpha", (("lam", a, b), ("lam", ab, c), ("lam", a, bc))),
+                    ("beta", (("rho", b, c), ("rho", a, bc), ("rho", ab, c))),
+                    ("gamma", (("rho", a, b), ("lam", ab, c), ("lam", b, c), ("rho", a, bc))),
+                ):
+                    deps = tuple(pos[m] for m in maps)
+                    by_last[max(deps)].append((axiom, size, deps))
     return build_slots(), by_last
 
 
-def test_enumerator_slots_and_instances_match_the_walked_reference():
+def test_enumerator_slots_and_instances_match_the_hand_written_reference():
     from lamrho.semigroup import CATALOG
     from lamrho.system import _instances, _slots
 
