@@ -122,20 +122,18 @@ def _square_walk(elements, mul, h, source, target, maps, out, first_only):
                 continue
             checked += 1
             ha, hb = h(a), h(b)
-            lam_src = source.lam_map(ha, hb)
-            rho_src = source.rho_map(ha, hb)
-            lam_tgt = target.lam_map(a, b)
-            rho_tgt = target.rho_map(a, b)
-            t_ab, t_a, t_b = maps[ab], maps[a], maps[b]
+            # (kind, tgt, t_c, src) reads tgt o t[ab] == t_c o src
+            squares = (
+                ("lambda", target.lam_map(a, b), maps[a], source.lam_map(ha, hb)),
+                ("rho", target.rho_map(a, b), maps[b], source.rho_map(ha, hb)),
+            )
+            t_ab = maps[ab]
             for p in range(source.fiber_size(source.base.mul(ha, hb))):
-                if lam_tgt[t_ab[p]] != t_a[lam_src[p]]:
-                    out.append(("lambda", a, b, p))
-                    if first_only:
-                        return checked
-                if rho_tgt[t_ab[p]] != t_b[rho_src[p]]:
-                    out.append(("rho", a, b, p))
-                    if first_only:
-                        return checked
+                for kind, tgt, t_c, src in squares:
+                    if tgt[t_ab[p]] != t_c[src[p]]:
+                        out.append((kind, a, b, p))
+                        if first_only:
+                            return checked
     return checked
 
 
@@ -199,11 +197,9 @@ def pullback_system(f: Homomorphism, system: LrSystem) -> LrSystem:
         raise ComposeMismatchError("f must land in the system's base")
     t = f.domain
     sizes = tuple(system.index_sizes[f(a)] for a in t.elements())
-    lam = tuple(
-        system.lam_map(f(a), f(b)) for a in t.elements() for b in t.elements()
-    )
-    rho = tuple(
-        system.rho_map(f(a), f(b)) for a in t.elements() for b in t.elements()
+    lam, rho = (
+        tuple(pair_map(f(a), f(b)) for a in t.elements() for b in t.elements())
+        for pair_map in (system.lam_map, system.rho_map)
     )
     return validate_axioms(LrSystem(t, sizes, lam, rho))
 

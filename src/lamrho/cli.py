@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Inputs are built-in names, file paths, or inline JSON (anything starting
-with '{' or '['). Exit status: 0 on success or verified, 1 on a
-verification failure (the witness is printed), 2 on usage or input
-errors. Commands that randomise accept --seed and are reproducible given
-it; repeated runs with identical arguments produce identical bytes.
+Inputs are file paths or inline JSON (anything starting with '{' or '['),
+and a semigroup or system input may also be a built-in name. Exit status:
+0 on success or verified, 1 on a verification failure (the witness is
+printed), 2 on usage or input errors. Commands that randomise accept
+--seed and are reproducible given it; repeated runs with identical
+arguments produce identical bytes.
 
 One table, ``_COMMANDS``, gives each command its handler, its help, the
 flags it requires, the flags it may take and its --cap default. A flag the
@@ -37,25 +38,16 @@ from .errors import (
 DEFAULT_ENUM_LIMIT = 100
 
 
-def _looks_inline(text: str) -> bool:
-    t = text.lstrip()
-    return t.startswith("{") or t.startswith("[")
-
-
-def _inline_json(text: str):
+def _read_spec(spec: str):
+    """The JSON document ``spec`` holds inline (anything starting with '{'
+    or '[') or in the file it names, with the source its errors name and
+    the directory a relative base path resolves against: ``(document,
+    "<inline>", None)`` or ``(document, path, os.path.dirname(path))``."""
     from . import serialize
 
-    return serialize._parse_json(text, "<inline>")
-
-
-def _json_arg(spec: str):
-    """Inline JSON, or the JSON document in the file ``spec`` names, with
-    the source its errors name: ``<inline>`` or the path."""
-    from . import serialize
-
-    if _looks_inline(spec):
-        return _inline_json(spec), "<inline>"
-    return serialize._load_json(spec), spec
+    if spec.lstrip().startswith(("{", "[")):
+        return serialize._parse_json(spec, "<inline>"), "<inline>", None
+    return serialize._load_json(spec), spec, os.path.dirname(spec)
 
 
 def resolve_semigroup(spec: str) -> FiniteSemigroup:
@@ -65,9 +57,8 @@ def resolve_semigroup(spec: str) -> FiniteSemigroup:
         return CATALOG[spec]
     from . import serialize
 
-    if _looks_inline(spec):
-        return serialize.semigroup_from_dict(_inline_json(spec), where="<inline>")
-    return serialize.load_semigroup(spec)
+    doc, where, _ = _read_spec(spec)
+    return serialize.semigroup_from_dict(doc, where)
 
 
 def _valid_semigroup(spec: str) -> FiniteSemigroup:
@@ -86,17 +77,13 @@ def resolve_system(spec: str) -> LrSystem:
         from .actions import builtin_system
 
         return builtin_system(serialize.BUILTIN_SYSTEM_NAMES[spec])
-    if _looks_inline(spec):
-        return serialize.system_from_dict(_inline_json(spec), where="<inline>")
-    return serialize.load_system(spec)
+    return serialize.system_from_dict(*_read_spec(spec))
 
 
 def resolve_action(spec: str):
     from . import serialize
 
-    if _looks_inline(spec):
-        return serialize.action_from_dict(_inline_json(spec), where="<inline>")
-    return serialize.load_action(spec)
+    return serialize.action_from_dict(*_read_spec(spec))
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -186,7 +173,7 @@ def _cmd_quotient(args) -> int:
     from .semigroup import quotient
 
     sg = _valid_semigroup(args.base)
-    doc, where = _json_arg(args.partition)
+    doc, where, _ = _read_spec(args.partition)
     part = serialize.partition_from_obj(doc, sg.size, where)
     q = quotient(sg, part)
     _emit(args, lambda: render_table(q), serialize.semigroup_to_dict(q))
@@ -271,7 +258,7 @@ def _cmd_free(args) -> int:
     if args.sizes is None:
         from . import serialize
 
-        raw, where = _json_arg(args.system)
+        raw, where, _ = _read_spec(args.system)
         if not isinstance(raw, dict):
             raise InputFormatError(where, "<json>", "expected an object")
         free = free_monoid_system(
@@ -318,11 +305,12 @@ def _cmd_free(args) -> int:
 def _cmd_wreathize(args) -> int:
     from . import serialize
     from .groupwreath import verify_wreath_iso, wreathize
+    from .semigroup import Z2
     from .system import validate_axioms
 
     system = validate_axioms(resolve_system(args.system))
     action, arrow = wreathize(system)
-    report = verify_wreath_iso(resolve_semigroup("z2"), system, cap=args.cap)
+    report = verify_wreath_iso(Z2, system, cap=args.cap)
     payload = {
         "action": serialize.right_action_to_dict(action),
         "transformation": serialize.transformation_to_dict(arrow),

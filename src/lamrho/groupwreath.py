@@ -65,12 +65,12 @@ def check_bijectivity(system: LrSystem) -> BijectivityCheck:
     n = system.base.size
     for a in range(n):
         for b in range(n):
-            lam = system.lam_map(a, b)
-            if sorted(lam) != list(range(system.index_sizes[a])):
-                return BijectivityCheck(False, ("lambda", a, b))
-            rho = system.rho_map(a, b)
-            if sorted(rho) != list(range(system.index_sizes[b])):
-                return BijectivityCheck(False, ("rho", a, b))
+            for kind, m, c in (
+                ("lambda", system.lam_map(a, b), a),
+                ("rho", system.rho_map(a, b), b),
+            ):
+                if sorted(m) != list(range(system.index_sizes[c])):
+                    return BijectivityCheck(False, (kind, a, b))
     return BijectivityCheck(True)
 
 

@@ -324,8 +324,9 @@ class Partition:
 
     @staticmethod
     def from_classes(size: int, classes) -> "Partition":
+        # an empty class sorts first, for the check to refuse by name
         canon = tuple(
-            sorted((tuple(sorted(set(c))) for c in classes), key=lambda c: c[0])
+            sorted((tuple(sorted(set(c))) for c in classes), key=lambda c: c[:1])
         )
         return Partition(size, canon)
 

@@ -221,6 +221,8 @@ def two_sided_action_from_dict(obj, where="<memory>", base_dir=None) -> TwoSided
 def action_from_dict(obj, where="<memory>", base_dir=None):
     """Dispatch on the fields present: 'act' for one-sided actions,
     'left'/'right' for two-sided ones."""
+    if not isinstance(obj, dict):
+        raise InputFormatError(where, "act", "expected a JSON object")
     if "act" in obj:
         return right_action_from_dict(obj, where, base_dir)
     if "left" in obj and "right" in obj:

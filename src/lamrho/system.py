@@ -67,32 +67,26 @@ class LrSystem:
             raise MapRangeError("need one lambda and one rho map per pair")
         for a in range(n):
             for b in range(n):
-                ab = self.base.mul(a, b)
-                dom = self.index_sizes[ab]
-                lm = self.lam[a * n + b]
-                rm = self.rho[a * n + b]
-                if len(lm) != dom:
-                    raise MapRangeError(
-                        f"lambda[{a},{b}] has length {len(lm)}, expected {dom}"
-                    )
-                if len(rm) != dom:
-                    raise MapRangeError(
-                        f"rho[{a},{b}] has length {len(rm)}, expected {dom}"
-                    )
-                if any(not 0 <= v < self.index_sizes[a] for v in lm):
-                    raise MapRangeError(f"lambda[{a},{b}] value out of range")
-                if any(not 0 <= v < self.index_sizes[b] for v in rm):
-                    raise MapRangeError(f"rho[{a},{b}] value out of range")
+                dom = self.index_sizes[self.base.mul(a, b)]
+                i = a * n + b
+                pair = (("lambda", self.lam[i], a), ("rho", self.rho[i], b))
+                # a wrong length at a pair is reported before a bad value there
+                for kind, m, _ in pair:
+                    if len(m) != dom:
+                        raise MapRangeError(
+                            f"{kind}[{a},{b}] has length {len(m)}, expected {dom}"
+                        )
+                for kind, m, c in pair:
+                    if any(not 0 <= v < self.index_sizes[c] for v in m):
+                        raise MapRangeError(f"{kind}[{a},{b}] value out of range")
 
     @staticmethod
     def from_maps(base, index_sizes, lam, rho) -> "LrSystem":
         """Build from dicts keyed by (a,b) pairs."""
         n = base.size
-        lam_seq = tuple(
-            tuple(lam[(a, b)]) for a in range(n) for b in range(n)
-        )
-        rho_seq = tuple(
-            tuple(rho[(a, b)]) for a in range(n) for b in range(n)
+        lam_seq, rho_seq = (
+            tuple(tuple(maps[(a, b)]) for a in range(n) for b in range(n))
+            for maps in (lam, rho)
         )
         return LrSystem(base, tuple(index_sizes), lam_seq, rho_seq)
 
@@ -238,22 +232,17 @@ def is_unital(system: LrSystem) -> UnitalCheck:
     if e is None:
         return UnitalCheck(False, reason="base has no identity element")
     for a in system.base.elements():
-        lm = system.lam_map(a, e)
-        for p, v in enumerate(lm):
-            if v != p:
-                return UnitalCheck(
-                    False,
-                    reason=f"lambda[{a},{e}] is not the identity",
-                    witness=(a, "lambda", p),
-                )
-        rm = system.rho_map(e, a)
-        for p, v in enumerate(rm):
-            if v != p:
-                return UnitalCheck(
-                    False,
-                    reason=f"rho[{e},{a}] is not the identity",
-                    witness=(a, "rho", p),
-                )
+        for kind, x, y, m in (
+            ("lambda", a, e, system.lam_map(a, e)),
+            ("rho", e, a, system.rho_map(e, a)),
+        ):
+            for p, v in enumerate(m):
+                if v != p:
+                    return UnitalCheck(
+                        False,
+                        reason=f"{kind}[{x},{y}] is not the identity",
+                        witness=(a, kind, p),
+                    )
     return UnitalCheck(True)
 
 

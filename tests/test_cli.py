@@ -449,12 +449,20 @@ def test_json_past_the_decoder_limits_is_input_error(capsys, tmp_path, text):
         assert out == "" and err.startswith("input error:")
 
 
-def test_document_that_is_not_an_object_is_input_error(capsys, tmp_path):
-    path = tmp_path / "string.json"
-    path.write_text('"size table"')
-    code, out, err = run(capsys, "validate", "--base", str(path))
+@pytest.mark.parametrize("text", ['"size table"', "5", "null"], ids=["string", "number", "null"])
+@pytest.mark.parametrize("flag", ["--base", "--system", "--action"], ids=lambda f: f[2:])
+def test_document_that_is_not_an_object_is_input_error(capsys, tmp_path, flag, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", flag, str(path))
     assert code == 2
     assert out == "" and "expected a JSON object" in err
+
+
+def test_partition_with_an_empty_class_is_input_error(capsys):
+    code, out, err = run(capsys, "quotient", "--base", "z2", "--partition", "[[0,1],[]]")
+    assert code == 2 and out == ""
+    assert err == "input error: <inline>: field 'classes': empty class\n"
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ JUNK = [
     '{"shared_size": -1, "lambda": [], "rho": []}',
     "[" * 5000, "[" + "9" * 5000 + "]",
     "{FILE}broken.json", "{FILE}string.json", "{FILE}latin1.json", "{FILE}missing.json",
-    "{FILE}",
+    "{FILE}", "{FILE}five.json", "{FILE}null.json", "[[0],[]]",
 ]
 
 BAD = {
@@ -102,6 +102,8 @@ def workdir(tmp_path_factory):
         (d / name).write_text(json.dumps(doc))
     (d / "broken.json").write_text("{not json")
     (d / "string.json").write_text('"size table"')
+    (d / "five.json").write_text("5")
+    (d / "null.json").write_text("null")
     (d / "latin1.json").write_bytes(b'{"size": 1, "table": [[0]], "names": ["\xe9"]}')
     return d
 

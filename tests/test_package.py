@@ -136,6 +136,7 @@ print(json.dumps([code, sorted(m[7:] for m in sys.modules if m.startswith("lamrh
 
 SEMIGROUP_ONLY = ["cli", "errors", "semigroup"]
 WITH_SERIALIZE = ["cli", "errors", "semigroup", "serialize"]
+WITH_SYSTEM = ["actions", "cli", "errors", "semigroup", "serialize", "system"]
 
 
 @pytest.mark.parametrize(
@@ -146,6 +147,11 @@ WITH_SERIALIZE = ["cli", "errors", "semigroup", "serialize"]
         (["divides", "--base", "l2_1", "--h", "join2"], 0, SEMIGROUP_ONLY),
         (["quotient", "--base", "z3", "--partition", "[[0,1,2]]"], 0, WITH_SERIALIZE),
         (["validate", "--base", "{FILE}"], 0, WITH_SERIALIZE),
+        (["validate", "--system", "flipflop_system"], 0, WITH_SYSTEM),
+        (["validate", "--action", '{"carrier": 2, "base": "z2", "act": [[0, 1], [1, 0]]}'],
+         0, WITH_SYSTEM),
+        (["free", "--sizes", "1,2"], 0,
+         ["category", "cli", "errors", "product", "semigroup", "system"]),
     ],
 )
 def test_light_commands_load_no_engine(tmp_path, argv, code, modules):

@@ -16,6 +16,7 @@ from lamrho import (
     EmptyGeneratorsError,
     FiniteSemigroup,
     Homomorphism,
+    InvalidPartitionError,
     NonAssociativeError,
     NotACongruenceError,
     NotAHomomorphismError,
@@ -200,6 +201,12 @@ def test_quotient_edge_partitions():
         assert quotient(sg, Partition.single(sg.size)).size == 1
         q = quotient(sg, Partition.discrete(sg.size))
         assert q.table == sg.table
+
+
+def test_partition_with_an_empty_class_is_refused_by_name():
+    for classes in ([[0, 1], []], [[], [0, 1]], [[0], [], [1]]):
+        with pytest.raises(InvalidPartitionError, match="empty class"):
+            Partition.from_classes(2, classes)
 
 
 def test_quotient_rejects_non_congruence():
