@@ -80,18 +80,15 @@ class TwoSidedAction:
 
     def __post_init__(self):
         n = self.base.size
-        if len(self.left) != n:
-            raise ActionLawError("left table needs one row per base element")
-        for a, row in enumerate(self.left):
-            if len(row) != self.carrier or any(
-                not 0 <= v < self.carrier for v in row
-            ):
-                raise ActionLawError(f"left row {a} malformed")
-        if len(self.right) != self.carrier:
-            raise ActionLawError("right table needs one row per carrier point")
-        for x, row in enumerate(self.right):
-            if len(row) != n or any(not 0 <= v < self.carrier for v in row):
-                raise ActionLawError(f"right row {x} malformed")
+        for side, table, rows, per, width in (
+            ("left", self.left, n, "base element", self.carrier),
+            ("right", self.right, self.carrier, "carrier point", n),
+        ):
+            if len(table) != rows:
+                raise ActionLawError(f"{side} table needs one row per {per}")
+            for i, row in enumerate(table):
+                if len(row) != width or any(not 0 <= v < self.carrier for v in row):
+                    raise ActionLawError(f"{side} row {i} malformed")
         for a in range(n):
             for b in range(n):
                 ab = self.base.mul(a, b)

@@ -402,33 +402,28 @@ class TruncatedFreeSystem:
         return self._pos[w][point]
 
     def lam_map(self, w: Word, u: Word) -> tuple[int, ...]:
-        wu = self.mul(w, u)
-        if wu is None:
-            raise MapRangeError("pair escapes the length bound")
-        if u == ():
-            return tuple(range(self.fiber_size(w)))
-        if w == ():
-            # into the shared set; positions there are the values themselves
-            return tuple(
-                self.letter_lambda[u[0]][v[0]] for v in self._fibers[u]
-            )
-        k = len(w)
-        pos_w = self._pos[w]
-        return tuple(pos_w[v[:k]] for v in self._fibers[wu])
+        return self._pair_map(w, u, True)
 
     def rho_map(self, w: Word, u: Word) -> tuple[int, ...]:
+        return self._pair_map(w, u, False)
+
+    def _pair_map(self, w: Word, u: Word, left: bool) -> tuple[int, ...]:
+        """lam[w,u] keeps the prefix w of each point of I[wu], rho[w,u]
+        the suffix u. Through the empty word the map is the identity, or
+        the first (last) letter's map into the shared set."""
         wu = self.mul(w, u)
         if wu is None:
             raise MapRangeError("pair escapes the length bound")
-        if w == ():
-            return tuple(range(self.fiber_size(u)))
-        if u == ():
-            return tuple(
-                self.letter_rho[w[-1]][v[-1]] for v in self._fibers[w]
-            )
-        k = len(w)
-        pos_u = self._pos[u]
-        return tuple(pos_u[v[k:]] for v in self._fibers[wu])
+        kept, other = (w, u) if left else (u, w)
+        if other == ():
+            return tuple(range(self.fiber_size(kept)))
+        if kept == ():
+            # into the shared set; positions there are the values themselves
+            letter, end = (self.letter_lambda, 0) if left else (self.letter_rho, -1)
+            return tuple(letter[other[end]][v[end]] for v in self._fibers[other])
+        pos = self._pos[kept]
+        cut = slice(None, len(w)) if left else slice(len(w), None)
+        return tuple(pos[v[cut]] for v in self._fibers[wu])
 
     def check_axioms(self) -> FreeAxiomReport:
         """All axiom instances whose triple concatenation stays in bound."""
@@ -491,14 +486,9 @@ def word_product(base: FiniteSemigroup, word: Word) -> int:
 
 def _prefix_suffix(base: FiniteSemigroup, word: Word) -> tuple[list, list]:
     """prefix[j] is the product of word[0..j], suffix[j] that of word[j..]."""
-    prefix = [word[0]]
-    for s in word[1:]:
-        prefix.append(base.mul(prefix[-1], s))
-    suffix = [word[-1]]
-    for s in reversed(word[:-1]):
-        suffix.append(base.mul(s, suffix[-1]))
-    suffix.reverse()
-    return prefix, suffix
+    prefix = list(itertools.accumulate(word, base.mul))
+    suffix = list(itertools.accumulate(reversed(word), lambda t, s: base.mul(s, t)))
+    return prefix, suffix[::-1]
 
 
 def canonical_components(system: LrSystem, word: Word, z: int) -> tuple[int, ...]:

@@ -281,24 +281,15 @@ def _cmd_free(args) -> int:
         "axiom_instances_checked": report.instances,
         "axioms_ok": report.ok,
     }
+    text = (
+        f"{payload['mode']} mode, bound {free.bound}: {payload['words']} words\n"
+        f"axiom instances checked (within bound): {report.instances}\n"
+        f"axioms ok: {report.ok}"
+    )
     if free.unit:
         payload["unital_on_truncated"] = free.unital_on_truncated()
-    _emit(
-        args,
-        lambda: "\n".join(
-            [
-                f"{payload['mode']} mode, bound {free.bound}: {payload['words']} words",
-                f"axiom instances checked (within bound): {report.instances}",
-                f"axioms ok: {report.ok}"
-                + (
-                    f"\nunital on truncated domain: {payload['unital_on_truncated']}"
-                    if free.unit
-                    else ""
-                ),
-            ]
-        ),
-        payload,
-    )
+        text += f"\nunital on truncated domain: {payload['unital_on_truncated']}"
+    _emit(args, text, payload)
     return 0 if report.ok else 1
 
 

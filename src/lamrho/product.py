@@ -263,22 +263,16 @@ def nonassociativity_witness(system: LrSystem, violation: AxiomViolation):
     other two. Every coordinate product then has at most one non-identity
     factor, so the disagreeing letters survive verbatim.
     """
-    a, b, c = violation.a, violation.b, violation.c
     kind = "right" if violation.axiom == "beta" else "left"
     h, index = _letters_with_identity(system, kind)
-
-    def tagged(s):
-        return ProductElement(s, tuple(index[s, i] for i in range(system.index_sizes[s])))
-
-    def constant_identity(s):
-        return ProductElement(s, (0,) * system.index_sizes[s])
-
-    if violation.axiom == "alpha":
-        triple = (tagged(a), constant_identity(b), constant_identity(c))
-    elif violation.axiom == "beta":
-        triple = (constant_identity(a), constant_identity(b), tagged(c))
-    else:
-        triple = (constant_identity(a), tagged(b), constant_identity(c))
+    # the tagged factor sits at a for alpha, c for beta and b for gamma
+    tagged = {"alpha": 0, "beta": 2}.get(violation.axiom, 1)
+    triple = tuple(
+        ProductElement(
+            s, tuple(index[s, i] if j == tagged else 0 for i in range(system.index_sizes[s]))
+        )
+        for j, s in enumerate((violation.a, violation.b, violation.c))
+    )
     return h, triple
 
 

@@ -119,8 +119,9 @@ def _pair_maps_from_dict(obj, field, n, where) -> dict:
     out = {}
     for key, seq in raw.items():
         try:
-            a_str, b_str = key.split(",")
-            a, b = int(a_str), int(b_str)
+            a, b = map(int, key.split(","))
+            if key != f"{a},{b}":  # the exact form: " 0, 1" and "0,0_1" name no pair
+                raise ValueError
         except ValueError:
             raise InputFormatError(
                 where, f"{field}[{key}]", "key must look like 'a,b'"
@@ -154,16 +155,12 @@ def system_from_dict(obj, where="<memory>", base_dir=None) -> LrSystem:
         raise InputFormatError(where, "lambda/rho", str(exc)) from exc
 
 
-def _carrier(obj, where) -> int:
-    carrier = _require(obj, "carrier", where, int)
-    if carrier < 0:
-        raise InputFormatError(where, "carrier", f"{carrier} is negative")
-    return carrier
-
-
-def _action_table(obj, field, rows, width, carrier, where):
-    """An action table of ``rows`` rows of ``width`` carrier points; shape
-    errors are input errors, so only the action laws are left to verify."""
+def _action_table(obj, field, n, carrier, where):
+    """The action table ``field``: 'left' has one row per base element of
+    ``carrier`` points, 'act' and 'right' one row per carrier point of
+    ``n`` points. Shape errors are input errors, so only the action laws
+    are left to verify."""
+    rows, width = (n, carrier) if field == "left" else (carrier, n)
     table = _int_matrix(_require(obj, field, where, list), field, where)
     if len(table) != rows:
         raise InputFormatError(where, field, f"{len(table)} rows, expected {rows}")
@@ -188,17 +185,6 @@ def right_action_to_dict(action: RightAction) -> dict:
     }
 
 
-def right_action_from_dict(obj, where="<memory>", base_dir=None) -> RightAction:
-    from .actions import RightAction
-
-    base = _resolve_base(_require(obj, "base", where), where, base_dir)
-    carrier = _carrier(obj, where)
-    act = _action_table(obj, "act", carrier, base.size, carrier, where)
-    # law violations propagate as ActionLawError: a well-formed but
-    # invalid action is a verification failure, not a malformed file
-    return RightAction(base, carrier, act)
-
-
 def two_sided_action_to_dict(action: TwoSidedAction) -> dict:
     return {
         "carrier": action.carrier,
@@ -208,26 +194,23 @@ def two_sided_action_to_dict(action: TwoSidedAction) -> dict:
     }
 
 
-def two_sided_action_from_dict(obj, where="<memory>", base_dir=None) -> TwoSidedAction:
-    from .actions import TwoSidedAction
-
-    base = _resolve_base(_require(obj, "base", where), where, base_dir)
-    carrier = _carrier(obj, where)
-    left = _action_table(obj, "left", base.size, carrier, carrier, where)
-    right = _action_table(obj, "right", carrier, base.size, carrier, where)
-    return TwoSidedAction(base, carrier, left, right)
-
-
 def action_from_dict(obj, where="<memory>", base_dir=None):
-    """Dispatch on the fields present: 'act' for one-sided actions,
-    'left'/'right' for two-sided ones."""
+    """A right action from 'act', or a two-sided one from 'left' and
+    'right'. Law violations propagate as ActionLawError: a well-formed but
+    invalid action is a verification failure, not a malformed file."""
     if not isinstance(obj, dict):
         raise InputFormatError(where, "act", "expected a JSON object")
-    if "act" in obj:
-        return right_action_from_dict(obj, where, base_dir)
-    if "left" in obj and "right" in obj:
-        return two_sided_action_from_dict(obj, where, base_dir)
-    raise InputFormatError(where, "act", "missing (or give 'left' and 'right')")
+    fields = ("act",) if "act" in obj else ("left", "right")
+    if not all(f in obj for f in fields):
+        raise InputFormatError(where, "act", "missing (or give 'left' and 'right')")
+    from .actions import RightAction, TwoSidedAction
+
+    base = _resolve_base(_require(obj, "base", where), where, base_dir)
+    carrier = _require(obj, "carrier", where, int)
+    if carrier < 0:
+        raise InputFormatError(where, "carrier", f"{carrier} is negative")
+    tables = [_action_table(obj, f, base.size, carrier, where) for f in fields]
+    return (RightAction if len(fields) == 1 else TwoSidedAction)(base, carrier, *tables)
 
 
 def transformation_to_dict(tr: Transformation) -> dict:
@@ -272,8 +255,16 @@ def partition_from_obj(obj, size, where="<memory>") -> Partition:
 
 
 def _parse_json(text: str, where: str):
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise InputFormatError(where, "<json>", f"key {key!r} repeated in one object")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise InputFormatError(where, "<json>", "nested too deeply") from None
     except ValueError as exc:  # malformed, or an integer past the digit limit

@@ -434,25 +434,16 @@ def enumerate_systems(
     checks_at = _instances(base, sizes)
     candidates = [_candidates(slot, rng) for slot in slots]
 
+    # no check at slot k reads a slot above k, so a slot is never reset
     assign: list = [None] * len(slots)
-    yielded = 0
 
     def dfs(k):
-        nonlocal yielded
-        if limit is not None and yielded >= limit:
-            return
         if k == len(slots):
-            lam = tuple(assign[: n * n])
-            rho = tuple(assign[n * n :])
-            yielded += 1
-            yield LrSystem(base, sizes, lam, rho)
+            yield LrSystem(base, sizes, tuple(assign[: n * n]), tuple(assign[n * n :]))
             return
         for cand in candidates[k]():
             assign[k] = cand
             if all(_instance_holds(inst, assign) for inst in checks_at[k]):
                 yield from dfs(k + 1)
-                if limit is not None and yielded >= limit:
-                    break
-        assign[k] = None
 
-    yield from dfs(0)
+    yield from itertools.islice(dfs(0), limit)

@@ -9,12 +9,16 @@ same violations in the same order.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from array import array
 
 import pytest
 
+import lamrho
 from lamrho import (
     CATALOG,
     TRIVIAL,
@@ -314,15 +318,32 @@ def test_seeded_enumeration_stores_codes_not_tuples():
     assert peak < 3 * 2**20
 
 
+PEAK_RSS_GROWTH = """
+from lamrho import TRIVIAL, enumerate_systems
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+before = peak()
+next(enumerate_systems(TRIVIAL, (7,), limit=1, seed=0))
+print((peak() - before) * 1024)
+"""
+
+
 def test_seeded_enumeration_stores_4_byte_codes():
-    # two 823,543-code slots: about 6.6 MB of 4-byte codes, 13.2 MB of 8-byte
-    tracemalloc.start()
-    try:
-        next(enumerate_systems(TRIVIAL, (7,), limit=1, seed=0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # two 823,543-code slots: about 6.6 MB of 4-byte codes, 13.2 MB of 8-byte.
+    # Measured as the growth of a fresh interpreter's peak resident set
+    # (Linux's VmHWM, kB), since tracemalloc would trace every int the
+    # shuffle allocates, at 20 times the cost of the call. ru_maxrss would
+    # not do: exec keeps the forking process's peak, so under pytest it
+    # starts above anything the call reaches
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS_GROWTH],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 8 * 2**20
 
 
 def test_limit_zero_builds_no_codes():

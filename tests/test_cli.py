@@ -138,24 +138,36 @@ def test_validate_action_law_failure_is_verification_error(capsys):
     assert "not verified" in err
 
 
+MALFORMED_ACTIONS = [
+    ('{"base": "z2", "carrier": -1, "act": []}', "carrier", "-1 is negative"),
+    ('{"base": "z2", "carrier": 1, "act": [[0]]}', "act[0]", "1 entries, expected 2"),
+    ('{"base": "z2", "carrier": 1, "act": [[0, 1]]}', "act[0]",
+     "value 1 is outside the carrier"),
+    (
+        '{"base": "z2", "carrier": 2, "left": [[0, 1], [1, 0]],'
+        ' "right": [[0, 1], [1]]}',
+        "right[1]",
+        "1 entries, expected 2",
+    ),
+    ('{"base": "l2", "carrier": 2, "left": [[0, 1], [0, 1]]}', "act",
+     "missing (or give 'left' and 'right')"),
+    ('{"base": "l2", "carrier": -1, "left": [[0, 1], [0, 1]], "right": []}', "carrier",
+     "-1 is negative"),
+    ('{"base": "l2", "carrier": 2, "left": [[0, 1], [0]], "right": [[0, 0], [1, 1]]}',
+     "left[1]", "1 entries, expected 2"),
+]
+
+
 @pytest.mark.parametrize(
-    "doc, field",
-    [
-        ('{"base": "z2", "carrier": -1, "act": []}', "carrier"),
-        ('{"base": "z2", "carrier": 1, "act": [[0]]}', "act[0]"),
-        ('{"base": "z2", "carrier": 1, "act": [[0, 1]]}', "act[0]"),
-        (
-            '{"base": "z2", "carrier": 2, "left": [[0, 1], [1, 0]],'
-            ' "right": [[0, 1], [1]]}',
-            "right[1]",
-        ),
-    ],
+    "doc, field, message",
+    MALFORMED_ACTIONS,
+    ids=[f"{doc}-{field}" for doc, field, _ in MALFORMED_ACTIONS],
 )
-def test_malformed_action_is_input_error(capsys, doc, field):
+def test_malformed_action_is_input_error(capsys, doc, field, message):
     # shape errors are caught at the reader; only law failures exit 1
     code, out, err = run(capsys, "validate", "--action", doc)
     assert code == 2
-    assert out == "" and f"field '{field}'" in err
+    assert out == "" and err == f"input error: <inline>: field '{field}': {message}\n"
 
 
 def test_validate_good_action(capsys):
@@ -463,6 +475,30 @@ def test_partition_with_an_empty_class_is_input_error(capsys):
     code, out, err = run(capsys, "quotient", "--base", "z2", "--partition", "[[0,1],[]]")
     assert code == 2 and out == ""
     assert err == "input error: <inline>: field 'classes': empty class\n"
+
+
+FLIP_DOC = serialize.system_to_dict(builtin_system("flip_flop"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps(FLIP_DOC).replace('"0,1"', '"0,0_1"', 1),
+         "field 'lambda[0,0_1]': key must look like 'a,b'"),
+        (json.dumps(FLIP_DOC)[:-2] + ', " 0, 1": [7, 7]}}',
+         "field 'rho[ 0, 1]': key must look like 'a,b'"),
+        (json.dumps(FLIP_DOC).replace('"1,1"', '"0,1"'),
+         "field '<json>': key '0,1' repeated in one object"),
+    ],
+    ids=["underscore", "spaced-twin", "repeated"],
+)
+def test_system_key_that_is_not_exact_is_input_error(capsys, tmp_path, text, message):
+    path = tmp_path / "flip.json"
+    path.write_text(text)
+    for command in ("validate", "examples"):
+        code, out, err = run(capsys, command, "--system", str(path))
+        assert code == 2 and out == ""
+        assert err == f"input error: {path}: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,10 @@ JUNK = [
     "[" * 5000, "[" + "9" * 5000 + "]",
     "{FILE}broken.json", "{FILE}string.json", "{FILE}latin1.json", "{FILE}missing.json",
     "{FILE}", "{FILE}five.json", "{FILE}null.json", "[[0],[]]",
+    # map keys int() would read as (0,1), and a key repeated in one object
+    json.dumps(SYSTEM_DOC).replace('"0,1"', '"0,0_1"', 1),
+    json.dumps(SYSTEM_DOC).replace('"0,1"', '" 0, 1"', 1),
+    json.dumps(SYSTEM_DOC).replace('"1,1"', '"0,1"', 1),
 ]
 
 BAD = {

@@ -74,6 +74,44 @@ def test_missing_pair_reported():
     assert "lambda[0,0]" in str(exc.value)
 
 
+@pytest.mark.parametrize("key", ["0,0_1", " 0, 1", "0, 1", "00,1", "+0,1", "0,1,", "0,1 "])
+def test_pair_key_must_be_exact(key):
+    # int() would read each of these as the pair (0,1)
+    doc = serialize.system_to_dict(builtin_system("flip_flop"))
+    doc["rho"][key] = doc["rho"].pop("0,1")
+    with pytest.raises(InputFormatError) as exc:
+        serialize.system_from_dict(doc, "doc")
+    assert str(exc.value) == f"doc: field 'rho[{key}]': key must look like 'a,b'"
+
+
+def test_pair_key_naming_a_pair_twice_is_refused():
+    # " 0, 1" used to replace the valid "0,1" map silently
+    doc = serialize.system_to_dict(builtin_system("flip_flop"))
+    doc["rho"][" 0, 1"] = [7, 7]
+    with pytest.raises(InputFormatError, match=r"field 'rho\[ 0, 1\]'"):
+        serialize.system_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"0,1": 1, "0,1": 2}', "0,1"),
+        ('{"a": {"b": 1, "c": 2, "b": 3}}', "b"),
+        ('[{"x": 1}, {"x": 1, "x": 1}]', "x"),
+    ],
+)
+def test_repeated_json_key_is_refused(text, key):
+    with pytest.raises(InputFormatError) as exc:
+        serialize._parse_json(text, "doc")
+    assert str(exc.value) == f"doc: field '<json>': key {key!r} repeated in one object"
+
+
+def test_same_key_in_different_objects_is_read():
+    assert serialize._parse_json('{"a": {"a": 1}, "b": [{"a": 2}]}', "doc") == {
+        "a": {"a": 1}, "b": [{"a": 2}]
+    }
+
+
 def test_action_roundtrip(tmp_path):
     act = RightAction(Z2, 2, ((0, 1), (1, 0)))
     path = tmp_path / "act.json"

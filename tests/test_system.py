@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from lamrho import (
+    CATALOG,
     JOIN2,
+    L2,
     TRIVIAL,
     Z2,
     Z3,
@@ -151,6 +153,21 @@ def test_enumeration_respects_limit_and_seed():
     assert sorted(s.lam + s.rho for s in seeded_a) == sorted(
         s.lam + s.rho for s in full
     )
+    # each limit, to past the end, cuts a prefix of the full stream. Every
+    # cut walks the search again, so a stream of more than 60 systems is
+    # cut at its first 20 limits, its middle and its end
+    streams = [
+        (CATALOG[name], sizes, None)
+        for name in sorted(CATALOG)
+        for sizes in itertools.product((1, 2), repeat=CATALOG[name].size)
+    ] + [(L2, (2, 2), 3)]
+    for base, sizes, seed in streams:
+        full = list(enumerate_systems(base, sizes, seed=seed))
+        n = len(full)
+        cuts = range(n + 2) if n <= 60 else [*range(20), n // 2, n - 1, n, n + 1]
+        for limit in cuts:
+            cut = list(enumerate_systems(base, sizes, limit=limit, seed=seed))
+            assert cut == full[:limit], (base, sizes, seed, limit)
 
 
 def test_enumeration_unital_only():
