@@ -11,21 +11,20 @@ natural action of a semigroup on its own square.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .errors import DEFAULT_UNIVERSE_CAP, ActionLawError, SizeCapError
+from .errors import DEFAULT_UNIVERSE_CAP, ActionLawError, SizeCapError, count_text
 from .semigroup import (
     JOIN2,
     MEET2,
     TRIVIAL,
     FiniteSemigroup,
+    _Frozen,
     identity_element,
 )
 from .system import LrSystem, validate_axioms
 
 
-@dataclass(frozen=True)
-class RightAction:
+class RightAction(_Frozen):
     """A right action of ``base`` on 0..carrier-1; act[x][s] is x*s.
 
     Laws checked on construction: (x*a)*b == x*(ab), and x*e == x when
@@ -65,8 +64,7 @@ class RightAction:
         return self.act[x][a]
 
 
-@dataclass(frozen=True)
-class TwoSidedAction:
+class TwoSidedAction(_Frozen):
     """Compatible left and right actions on a common carrier.
 
     left[a][x] is a\\x and right[x][a] is x/a, subject to
@@ -201,7 +199,7 @@ def _two_sided_table(
     block = m**carrier
     total = n * block
     if total > cap:
-        raise SizeCapError(f"product has {total} elements, cap is {cap}")
+        raise SizeCapError(f"product has {count_text(total)} elements, cap is {cap}")
     weights = [m ** (carrier - 1 - q) for q in range(carrier)]
     fiber = list(itertools.product(range(m), repeat=carrier))
     table = []

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import (
@@ -29,9 +28,10 @@ from .errors import (
     MapRangeError,
     SizeCapError,
     SquareViolationError,
+    count_text,
 )
 from .product import _encoder, _product_hom, _route, product_table, universe
-from .semigroup import FiniteSemigroup, Homomorphism, subsemigroup_table
+from .semigroup import FiniteSemigroup, Homomorphism, _Frozen, subsemigroup_table
 from .system import LrSystem, _axiom_walk, validate_axioms
 
 
@@ -39,8 +39,7 @@ from .system import LrSystem, _axiom_walk, validate_axioms
 # Same-base morphisms
 
 
-@dataclass(frozen=True)
-class SystemMorphism:
+class SystemMorphism(_Frozen):
     """A family t[a] : I[a] -> I'[a] between systems over one base."""
 
     source: LrSystem
@@ -65,8 +64,7 @@ class SystemMorphism:
 # General transformations
 
 
-@dataclass(frozen=True)
-class Transformation:
+class Transformation(_Frozen):
     """Arrow from (source.base, source) to (target.base, target).
 
     ``h`` runs backwards, from the target base to the source base, and
@@ -289,8 +287,7 @@ def _word_triples(alphabet: int, shortest: int, bound: int, cap: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FreeAxiomReport:
+class FreeAxiomReport(_Frozen):
     instances: int
     violations: tuple
 
@@ -521,8 +518,7 @@ def canonical_component_alt(system: LrSystem, word: Word, j: int, z: int) -> int
     return system.lam_map(word[j], suffix[j + 1])[inner]
 
 
-@dataclass(frozen=True)
-class FreeSquareReport:
+class FreeSquareReport(_Frozen):
     pairs_checked: int
     middle_points_checked: int
     violations: tuple
@@ -593,8 +589,7 @@ def canonical_transformation(
 # Induced homomorphism out of the truncated free product
 
 
-@dataclass(frozen=True)
-class FreeInducedHom:
+class FreeInducedHom(_Frozen):
     """Partial-structure verification of the induced homomorphism.
 
     The free-side product is only defined for pairs whose concatenated
@@ -629,7 +624,8 @@ def induced_free_hom(
     domain_size = sum(h_sg.size ** free.fiber_size(w) for w in free.words)
     if domain_size > cap:
         raise SizeCapError(
-            f"truncated free product has {domain_size} elements, cap is {cap}"
+            f"truncated free product has {count_text(domain_size)} elements, "
+            f"cap is {cap}"
         )
 
     def image_index(x: tuple, w: Word) -> int:

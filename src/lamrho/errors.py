@@ -41,6 +41,15 @@ class SearchCapError(LamrhoError):
     """A search was truncated before it could decide; result inconclusive."""
 
 
+def count_text(count: int) -> str:
+    """``count`` in decimal for a cap message, or ``at least 2**k`` when it
+    has more digits than int-to-str conversion allows."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2**{count.bit_length() - 1}"
+
+
 # Default caps: the elements of a product universe or bounded free system
 # and of the semigroups an isomorphism search takes (SizeCapError), and
 # the congruences a lattice search holds and the map-search nodes of a

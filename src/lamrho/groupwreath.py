@@ -11,7 +11,6 @@ checks those steps mechanically on concrete systems.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .actions import RightAction, from_right_action, wreath_oracle
 from .category import Transformation, is_system_isomorphism, validate_transformation
@@ -31,6 +30,7 @@ from .semigroup import (
     FiniteSemigroup,
     Homomorphism,
     Partition,
+    _Frozen,
     find_isomorphism,
     identity_element,
     is_congruence,
@@ -42,8 +42,7 @@ from .system import LrSystem, is_group_preserving
 from .actions import builtin_system
 
 
-@dataclass(frozen=True)
-class BijectivityCheck:
+class BijectivityCheck(_Frozen):
     ok: bool
     witness: tuple | None = None  # ('lambda'|'rho', a, b)
 
@@ -148,8 +147,7 @@ def wreathize(system: LrSystem) -> tuple[RightAction, Transformation]:
     return action, arrow
 
 
-@dataclass(frozen=True)
-class WreathIsoReport:
+class WreathIsoReport(_Frozen):
     """Both routes to the wreath-product isomorphism, plus the group check."""
 
     product_is_group: bool
@@ -206,8 +204,7 @@ def verify_wreath_iso(
 # The two worked decompositions
 
 
-@dataclass(frozen=True)
-class DecompositionBranch:
+class DecompositionBranch(_Frozen):
     name: str
     system: LrSystem
     product: FiniteSemigroup
@@ -233,8 +230,7 @@ class DecompositionBranch:
         }
 
 
-@dataclass(frozen=True)
-class CorollaryReport:
+class CorollaryReport(_Frozen):
     """Machine-checked witnesses for the two division claims: the
     three-element flip-flop monoid drops out of a product over the
     two-element semilattice, and the two-element left-zero semigroup out

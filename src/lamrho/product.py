@@ -15,20 +15,19 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     DEFAULT_UNIVERSE_CAP,
     EmptyFiberError,
     NotIdempotentError,
     SizeCapError,
+    count_text,
 )
-from .semigroup import FiniteSemigroup, Homomorphism, _trusted, associativity_witness
+from .semigroup import FiniteSemigroup, Homomorphism, _Frozen, _trusted, associativity_witness
 from .system import AxiomViolation, LrSystem
 
 
-@dataclass(frozen=True)
-class ProductElement:
+class ProductElement(_Frozen):
     """Pair of an anchor base element and a tuple over its index set."""
 
     anchor: int
@@ -62,7 +61,9 @@ def _offsets(
     for k in system.index_sizes:
         offsets.append(offsets[-1] + h.size ** k)
     if cap is not None and offsets[-1] > cap:
-        raise SizeCapError(f"universe has {offsets[-1]} elements, cap is {cap}")
+        raise SizeCapError(
+            f"universe has {count_text(offsets[-1])} elements, cap is {cap}"
+        )
     return offsets
 
 
@@ -195,8 +196,7 @@ def product_table(
     return _trusted(offsets[-1], _rows(h, system, offsets), names)
 
 
-@dataclass(frozen=True)
-class AssociativityReport:
+class AssociativityReport(_Frozen):
     """Outcome of the associativity test, with the first failing triple."""
 
     associative: bool

@@ -10,8 +10,7 @@ value objects.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 
 from .errors import (
     DEFAULT_CONGRUENCE_CAP,
@@ -35,8 +34,79 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-@dataclass(frozen=True)
-class FiniteSemigroup:
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """Base of the immutable value classes; it builds no code at import.
+
+    A subclass declares its fields as annotations, in order, and their
+    defaults as class attributes. The constructor takes the fields by
+    position or keyword, sets them through ``object.__setattr__`` and then
+    calls ``__post_init__``; assigning or deleting an attribute afterwards
+    raises AttributeError. Two values are equal when they are of one class
+    and their field tuples are equal, the hash is the field tuple's, and
+    the default repr is ``Name(field=value, ...)``.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        # trailing: a field without a default never follows one with a default
+        cls._defaults = tuple(vars(cls)[f] for f in cls._fields if f in vars(cls))
+        # the field tuple at C speed; attrgetter of one name would give the
+        # bare value, but every value class has two fields or more
+        cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        # object.__setattr__, not the instance dict: reading that dict
+        # would turn it into a real dict and slow every field read after
+        for field, value in zip(fields, args):
+            _setattr(self, field, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> tuple:
+        """The field values of a call with keywords or defaults."""
+        fields, defaults = cls._fields, cls._defaults
+        short = len(fields) - len(args)
+        if not kwargs and 0 < short <= len(defaults):  # the common call
+            return args + defaults[-short:]
+        named = fields[len(args):]
+        if len(args) > len(fields) or not kwargs.keys() <= set(named):
+            raise TypeError(f"{cls.__name__}() takes the fields {fields}, each once")
+        values = dict(zip(fields[len(fields) - len(defaults):], defaults), **kwargs)
+        missing = [f for f in named if f not in values]
+        if missing:
+            raise TypeError(f"{cls.__name__}() is missing the fields {missing}")
+        return args + tuple(values[f] for f in named)
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._key(self))
+        return f"{type(self).__qualname__}({', '.join(f'{f}={v!r}' for f, v in pairs)})"
+
+
+class FiniteSemigroup(_Frozen):
     """A finite semigroup on elements 0..size-1.
 
     Construction checks shape and entry ranges only; associativity is the
@@ -296,8 +366,7 @@ def subsemigroup_table(sg: FiniteSemigroup, elements) -> FiniteSemigroup:
 # Partitions, congruences, quotients
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(_Frozen):
     """Partition of 0..size-1 into disjoint nonempty classes.
 
     Classes are stored canonically: members sorted, classes ordered by
@@ -508,8 +577,7 @@ def all_congruences(sg: FiniteSemigroup, cap: int = DEFAULT_CONGRUENCE_CAP):
 # Homomorphisms and isomorphism search
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(_Frozen):
     """A product-respecting map between finite semigroups.
 
     The defining property map[x*y] == map[x]*map[y] is checked on
@@ -693,8 +761,7 @@ def _find_isomorphism(a, b) -> Homomorphism | None:
 # Division
 
 
-@dataclass(frozen=True)
-class DivisionWitness:
+class DivisionWitness(_Frozen):
     """Exhibits T as a quotient of a subsemigroup of S.
 
     ``sub_elements`` lists the subsemigroup in ambient indices (the whole

@@ -22,7 +22,6 @@ import operator
 import random
 import sys
 from array import array
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import (
@@ -30,8 +29,9 @@ from .errors import (
     IdealViolationError,
     MapRangeError,
     SizeCapError,
+    count_text,
 )
-from .semigroup import FiniteSemigroup, identity_element, is_group
+from .semigroup import FiniteSemigroup, _Frozen, identity_element, is_group
 
 EXHAUSTIVE_BASE_CAP = 3
 EXHAUSTIVE_FIBER_CAP = 3
@@ -42,8 +42,7 @@ SEEDED_CODE_CAP = 2**24
 _SHUFFLE_WORDS = 2**12
 
 
-@dataclass(frozen=True)
-class LrSystem:
+class LrSystem(_Frozen):
     """A shape-checked system of index sets and maps over ``base``.
 
     ``lam`` and ``rho`` hold one sequence per ordered pair, at position
@@ -106,8 +105,7 @@ class LrSystem:
         )
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(_Frozen):
     """Names the failed axiom, the base triple and the index point."""
 
     axiom: str
@@ -208,8 +206,7 @@ def empty_support_ideal(system: LrSystem) -> tuple[int, ...]:
     return j
 
 
-@dataclass(frozen=True)
-class UnitalCheck:
+class UnitalCheck(_Frozen):
     """Outcome of the unit-preservation test, with a failure certificate."""
 
     unital: bool
@@ -333,13 +330,19 @@ def _candidates(slot, rng):
         return lambda: (pinned,)
     if rng is None:
         return lambda: itertools.product(range(codomain), repeat=domain)
-    count = codomain**domain
-    if count > SEEDED_CODE_CAP:
+    # With codomain >= 2, a domain of 25 or more is past 2**24 codes, so
+    # the cap is decided without building the power. The message builds it
+    # only up to 2**16 bits, past every count int-to-str prints by default.
+    if (
+        codomain >= 2 and domain >= SEEDED_CODE_CAP.bit_length()
+    ) or codomain**domain > SEEDED_CODE_CAP:
+        power = f"{codomain}**{domain}"
+        if domain * codomain.bit_length() <= 1 << 16:
+            power += f" = {count_text(codomain**domain)}"
         raise SizeCapError(
-            f"{kind}[{a},{b}] has {codomain}**{domain} = {count} maps, "
-            f"cap is {SEEDED_CODE_CAP} codes"
+            f"{kind}[{a},{b}] has {power} maps, cap is {SEEDED_CODE_CAP} codes"
         )
-    codes = array("I", range(count))
+    codes = array("I", range(codomain**domain))
     _shuffle(rng, codes)
     if domain == 1:
         return lambda: zip(codes)

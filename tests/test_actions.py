@@ -224,6 +224,14 @@ def test_engine_and_oracles_agree_on_every_small_action():
                 oracle(h, action, cap=total - 1)
 
 
+def test_oracle_cap_message_past_the_int_to_str_limit():
+    # 3**10000 elements: the count has more digits than int-to-str allows
+    action = RightAction(TRIVIAL, 10000, tuple((x,) for x in range(10000)))
+    with pytest.raises(SizeCapError) as info:
+        wreath_oracle(Z3, action)
+    assert str(info.value) == "product has at least 2**15849 elements, cap is 1000000"
+
+
 # Reference constructions: each builder written out on its own.
 
 

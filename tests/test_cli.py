@@ -435,6 +435,40 @@ def test_cap_hit_is_inconclusive_not_refuted(capsys, argv, expected):
     assert err.startswith(expected) and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        # the count itself has more digits than int-to-str allows
+        (("enumerate", "--base", "trivial", "--sizes", "3000"),
+         "lam[0,0] has 3000**3000 = at least 2**34652 maps, cap is 16777216 codes"),
+        # and building it took 40 s, or did not end
+        (("enumerate", "--base", "trivial", "--sizes", "3000000"),
+         "lam[0,0] has 3000000**3000000 maps, cap is 16777216 codes"),
+        (("enumerate", "--base", "trivial", "--sizes", "99999999999"),
+         "lam[0,0] has 99999999999**99999999999 maps, cap is 16777216 codes"),
+        # a universe of 3**10000 elements
+        (("product", "--base", "{BIG}", "--h", "z3"),
+         "universe has at least 2**15849 elements, cap is 1000000"),
+    ],
+)
+def test_cap_hit_on_a_large_count_is_inconclusive(tmp_path, argv, expected):
+    big = tmp_path / "big.json"
+    identity = list(range(10000))
+    big.write_text(json.dumps({
+        "base": "trivial", "index_sizes": [10000],
+        "lambda": {"0,0": identity}, "rho": {"0,0": identity},
+    }))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamrho.cli",
+         *(str(big) if a == "{BIG}" else a for a in argv)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"inconclusive: {expected}\n"
+
+
 def test_file_errors_are_input_errors(capsys, tmp_path):
     latin = tmp_path / "latin1.json"
     latin.write_bytes(b'{"size": 1, "table": [[0]], "names": ["\xe9"]}')

@@ -159,3 +159,36 @@ def test_light_commands_load_no_engine(tmp_path, argv, code, modules):
     path.write_text('{"size": 3, "table": [[0, 0, 0], [1, 1, 1], [0, 1, 2]]}')
     argv = [str(path) if a == "{FILE}" else a for a in argv]
     assert fresh(CLI_MODULES, *argv) == [code, modules]
+
+
+# the modules a command adds, so that a site hook importing one does not count
+ADDED_MODULES = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+if sys.argv[1:] == ["Z2"]:
+    import lamrho
+    lamrho.Z2
+else:
+    from lamrho.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+print(json.dumps(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["examples"],
+        ["iso", "--base", "z2", "--h", "z2"],
+        ["validate", "--system", "flipflop_system"],
+        ["enumerate", "--base", "join2", "--sizes", "1,1"],
+        ["product", "--base", "flipflop_system", "--h", "z2"],
+        ["free", "--sizes", "1,2"],
+        ["corollary"],
+        ["Z2"],  # a public name, which loads the whole library
+    ],
+)
+def test_no_command_imports_dataclasses_or_inspect(argv):
+    assert fresh(ADDED_MODULES, *argv) == []
