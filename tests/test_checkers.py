@@ -184,6 +184,36 @@ def test_axiom_violations_match_reference(name):
     assert broken > 0
 
 
+def test_checker_instance_lists_are_bounded_and_kept_per_table_and_sizes():
+    from lamrho.system import _instance_walk
+
+    assert _instance_walk.cache_info().maxsize is not None
+    # one map family, valid over l2 and broken over r2, checked in turn
+    # over both bases: each keeps its own instance list
+    lam = ((0, 0), (0, 0), (0, 1), (0, 1))
+    rho = ((0, 0),) * 4
+    over = {name: LrSystem(CATALOG[name], (2, 2), lam, rho) for name in ("l2", "r2")}
+    for name in ("l2", "r2", "l2", "r2"):
+        expected = reference_axiom_violations(over[name])
+        assert as_tuples(axiom_violations(over[name])) == expected
+        assert bool(expected) == (name == "r2")
+    # a table and sizes built from lists are read as the tuples they hold
+    listed = lamrho.FiniteSemigroup(2, [list(row) for row in CATALOG["r2"].table])
+    system = LrSystem(listed, [2, 2], lam, rho)
+    assert as_tuples(axiom_violations(system)) == reference_axiom_violations(over["r2"])
+    assert list(enumerate_systems(listed, [1, 2])) == [
+        LrSystem(listed, (1, 2), s.lam, s.rho)
+        for s in enumerate_systems(CATALOG["r2"], (1, 2))
+    ]
+    # and the same base with other sizes has its own list too
+    for sizes in ((1, 2), (2, 1), (1, 2)):
+        for system in enumerate_systems(CATALOG["z2"], sizes):
+            assert as_tuples(axiom_violations(system)) == []
+            for bad in perturbations(system):
+                expected = reference_axiom_violations(bad)
+                assert as_tuples(axiom_violations(bad)) == expected
+
+
 def test_seeded_streams_pass_the_reference_check():
     # enumerate_systems checks every axiom instance once, in its DFS, and
     # yields without re-validating: this gate holds its seeded streams to

@@ -449,6 +449,9 @@ def test_cap_hit_is_inconclusive_not_refuted(capsys, argv, expected):
         # a universe of 3**10000 elements
         (("product", "--base", "{BIG}", "--h", "z3"),
          "universe has at least 2**15849 elements, cap is 1000000"),
+        # one map into a 1-point fiber, of 10**8 points
+        (("enumerate", "--base", "z2", "--sizes", "1,100000000"),
+         "lam[0,1] is one map on I[1], which has 100000000 points, cap is 1048576"),
     ],
 )
 def test_cap_hit_on_a_large_count_is_inconclusive(tmp_path, argv, expected):

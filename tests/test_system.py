@@ -1,6 +1,14 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lamrho
 
 from lamrho import (
     CATALOG,
@@ -12,6 +20,7 @@ from lamrho import (
     AxiomViolationError,
     LrSystem,
     MapRangeError,
+    SizeCapError,
     axiom_violations,
     builtin_system,
     empty_support_ideal,
@@ -214,7 +223,8 @@ def test_enumeration_rejects_a_negative_limit(seed):
 def _reference_slots_and_instances(base, sizes, unital_only):
     """The enumerator's slots and axiom instances built by hand: slot
     positions come from a dict keyed by (kind, a, b), and the instances
-    from a plain triple loop that writes each axiom's maps out."""
+    from a plain triple loop that writes each axiom's maps out, each under
+    its last slot and naming its second-last."""
     from lamrho.semigroup import identity_element
 
     n = base.size
@@ -255,7 +265,11 @@ def _reference_slots_and_instances(base, sizes, unital_only):
                     ("gamma", (("rho", a, b), ("lam", ab, c), ("lam", b, c), ("rho", a, bc))),
                 ):
                     deps = tuple(pos[m] for m in maps)
-                    by_last[max(deps)].append((axiom, size, deps))
+                    # the second-last slot: the largest distinct one below
+                    # the last, where the enumerator filters the last ahead
+                    distinct = sorted(set(deps))
+                    below = distinct[-2] if len(distinct) > 1 else None
+                    by_last[distinct[-1]].append((axiom, size, deps, below))
     return build_slots(), by_last
 
 
@@ -274,3 +288,101 @@ def test_enumerator_slots_and_instances_match_the_hand_written_reference():
                 assert _slots(base, sizes, unital_only) == slots, (name, sizes)
                 assert _instances(base, sizes) == instances, (name, sizes)
     assert cases == 102
+
+
+def _reference_stream(base, sizes, limit, seed, unital_only):
+    """A plain depth-first search over the hand-written slots and instances
+    that checks each instance only when its last slot is assigned. Every
+    map list is built in full, lexicographic, and in seeded mode shuffled
+    by ``random.shuffle`` slot by slot; a pinned slot draws nothing."""
+    slots, by_last = _reference_slots_and_instances(base, sizes, unital_only)
+    if slots is None:
+        return []
+    rng = None
+    if base.size > 3 or max(sizes) > 3 or seed is not None:
+        rng = random.Random(0 if seed is None else seed)
+    domains = []
+    for *_, dom, cod, pinned in slots:
+        maps = [pinned] if pinned is not None else list(
+            itertools.product(range(cod), repeat=dom)
+        )
+        if rng is not None and pinned is None:
+            rng.shuffle(maps)
+        domains.append(maps)
+    if not all(domains):
+        return []  # a slot with no map: the search below would walk for nothing
+    assign = [None] * len(slots)
+
+    def holds(size, deps):
+        f, g, h, *k = (assign[d] for d in deps)
+        return all(f[g[p]] == (h[k[0][p]] if k else h[p]) for p in range(size))
+
+    def dfs(i):
+        if i == len(slots):
+            yield tuple(assign)
+            return
+        for m in domains[i]:
+            assign[i] = m
+            if all(holds(size, deps) for _, size, deps, _ in by_last[i]):
+                yield from dfs(i + 1)
+
+    return list(itertools.islice(dfs(0), limit))
+
+
+@st.composite
+def enumeration_cases(draw):
+    base = CATALOG[draw(st.sampled_from(sorted(CATALOG)))]
+    if base.size == 2 and draw(st.booleans()):
+        sizes = (4, 4)  # seeded, with 256 maps per slot
+    else:
+        sizes = tuple(draw(st.integers(0, 3)) for _ in range(base.size))
+    seed = draw(st.none() | st.integers(0, 2**16))
+    return base, sizes, draw(st.integers(0, 30)), seed, draw(st.booleans())
+
+
+@given(enumeration_cases())
+@settings(max_examples=60, deadline=None)
+def test_enumeration_equals_a_search_that_checks_at_the_last_slot(case):
+    base, sizes, limit, seed, unital_only = case
+    stream = enumerate_systems(base, sizes, limit, seed, unital_only)
+    assert [s.lam + s.rho for s in stream] == _reference_stream(*case)
+
+
+MAP_POINTS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, 256 * 2**20))
+from lamrho import TRIVIAL, Z2, SizeCapError, enumerate_systems
+for base, sizes, unital_only in (
+    (TRIVIAL, (10**8,), True), (Z2, (1, 10**8), True), (Z2, (1, 10**8), False),
+):
+    try:
+        next(enumerate_systems(base, sizes, limit=1, unital_only=unital_only))
+    except SizeCapError as exc:
+        print(exc)
+"""
+
+
+def test_one_map_slots_check_their_points_before_allocating():
+    # a pinned identity, or the one map into a 1-point fiber, of 10**8
+    # points would take about 3.6 GB; the child has 256 MB of address space
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", MAP_POINTS],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "lam[0,0] is one map on I[0], which has 100000000 points, cap is 1048576",
+        "lam[0,1] is one map on I[1], which has 100000000 points, cap is 1048576",
+        "lam[0,1] is one map on I[1], which has 100000000 points, cap is 1048576",
+    ]
+
+
+def test_a_one_map_slot_at_the_point_cap_is_built():
+    from lamrho.system import MAP_POINT_CAP
+
+    (system,) = enumerate_systems(TRIVIAL, (MAP_POINT_CAP,), unital_only=True)
+    assert system.lam[0] == tuple(range(MAP_POINT_CAP))
+    with pytest.raises(SizeCapError):
+        next(enumerate_systems(TRIVIAL, (MAP_POINT_CAP + 1,), unital_only=True))
