@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DEFAULT_UNIVERSE_CAP, ActionLawError, SizeCapError, count_text
+from .errors import (
+    BUILTIN_SYSTEMS, DEFAULT_UNIVERSE_CAP, ActionLawError, SizeCapError, count_text
+)
 from .semigroup import (
     JOIN2,
     MEET2,
@@ -273,20 +275,12 @@ def _non_semidirect_system() -> LrSystem:
     return validate_axioms(LrSystem.from_maps(MEET2, (0, 2), lam, rho))
 
 
-_BUILTIN_SYSTEMS = {
-    "left_zero": _left_zero_system,
-    "flip_flop": _flip_flop_system,
-    "non_semidirect": _non_semidirect_system,
-    # canonical instance for exercising the subset form of the product
-    "boolean_shadow": _flip_flop_system,
-}
+_boolean_shadow_system = _flip_flop_system
 
 
 def builtin_system(name: str) -> LrSystem:
-    """One of the named example systems, validated."""
-    try:
-        return _BUILTIN_SYSTEMS[name]()
-    except KeyError:
-        raise KeyError(
-            f"unknown built-in system {name!r}; choose from {sorted(_BUILTIN_SYSTEMS)}"
-        ) from None
+    """The built-in system ``name`` of ``errors.BUILTIN_SYSTEMS``, validated."""
+    if name not in BUILTIN_SYSTEMS:
+        names = sorted(BUILTIN_SYSTEMS)
+        raise KeyError(f"unknown built-in system {name!r}; choose from {names}")
+    return globals()[f"_{name}_system"]()

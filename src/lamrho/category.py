@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import reduce
+from functools import cache, reduce
 
 from .errors import (
     DEFAULT_UNIVERSE_CAP,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .product import _encoder, _product_hom, _route, product_table, universe
 from .semigroup import FiniteSemigroup, Homomorphism, _Frozen, subsemigroup_table
-from .system import LrSystem, _axiom_walk, validate_axioms
+from .system import LrSystem, _axiom_checks, _axiom_failures, validate_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -104,20 +104,22 @@ def identity_transformation(system: LrSystem) -> Transformation:
     )
 
 
-def _square_walk(elements, mul, h, source, target, maps, out, first_only):
-    """Append ``(kind, a, b, point)`` to ``out`` for every failing point.
+def _square_walk(elements, mul, h, source, target, maps, first_only):
+    """The number of in-range pairs checked and the ``(kind, a, b, point)``
+    failures, only the first if ``first_only``.
 
     Pairs (a,b) of target base elements run in lexicographic order of
     ``elements``, then points, then the lambda square before the rho
-    square. ``mul`` returns None for a product outside the target, and
-    such pairs are skipped. Returns the number of in-range pairs checked.
+    square. ``mul`` returns None for a product outside the target; once
+    a·b is undefined, so is a·b' for every later b' (words listed by length
+    under a bound), so a row ends there.
     """
-    checked = 0
+    checked, found = 0, []
     for a in elements:
         for b in elements:
             ab = mul(a, b)
             if ab is None:
-                continue
+                break
             checked += 1
             ha, hb = h(a), h(b)
             # (kind, tgt, t_c, src) reads tgt o t[ab] == t_c o src
@@ -129,10 +131,10 @@ def _square_walk(elements, mul, h, source, target, maps, out, first_only):
             for p in range(source.fiber_size(source.base.mul(ha, hb))):
                 for kind, tgt, t_c, src in squares:
                     if tgt[t_ab[p]] != t_c[src[p]]:
-                        out.append((kind, a, b, p))
+                        found.append((kind, a, b, p))
                         if first_only:
-                            return checked
-    return checked
+                            return checked, found
+    return checked, found
 
 
 def validate_transformation(tr):
@@ -148,10 +150,9 @@ def validate_transformation(tr):
         found = tr.square_report().violations
         where = "words "
     else:
-        found = []
         base = tr.target.base
-        _square_walk(
-            base.elements(), base.mul, tr.h, tr.source, tr.target, tr.maps, found, True
+        _, found = _square_walk(
+            base.elements(), base.mul, tr.h, tr.source, tr.target, tr.maps, True
         )
         where = ""
     if found:
@@ -431,8 +432,17 @@ class TruncatedFreeSystem:
                 f"free system of bound {self.bound} has at least {triples} word "
                 f"triples to check, cap is {self.cap}"
             )
-        violations = []
-        instances = _axiom_walk(self, self.words, self.mul, violations, False)
+        maps = []  # lam[w,u] at lam(w, u) and rho[w,u] next, each built once
+
+        @cache
+        def lam(w, u):
+            maps.extend((self.lam_map(w, u), self.rho_map(w, u)))
+            return len(maps) - 2
+
+        walk = _axiom_checks(
+            self.words, self.mul, self.fiber_size, lam, lambda w, u: lam(w, u) + 1
+        )
+        instances, violations = _axiom_failures(walk, maps, False)
         return FreeAxiomReport(instances, tuple(violations))
 
     def unital_on_truncated(self) -> bool:
@@ -548,8 +558,8 @@ class FreeTransformation:
     def square_report(self) -> FreeSquareReport:
         violations = []
         middle = 0
-        src = self.source
-        for w in self.free.words:
+        src, free = self.source, self.free
+        for w in free.words:
             if len(w) < 3:
                 continue
             ow = self.base_image(w)
@@ -559,11 +569,10 @@ class FreeTransformation:
                     middle += 1
                     if comps[j] != canonical_component_alt(src, w, j, z):
                         violations.append(("middle", w, j, z))
-        pairs = _square_walk(
-            self.free.words, self.free.mul, self.base_image, src, self.free,
-            self.maps, violations, False,
+        pairs, squares = _square_walk(
+            free.words, free.mul, self.base_image, src, free, self.maps, False
         )
-        return FreeSquareReport(pairs, middle, tuple(violations))
+        return FreeSquareReport(pairs, middle, tuple(violations + squares))
 
 
 def canonical_transformation(
@@ -644,7 +653,7 @@ def induced_free_hom(
         for u in free.words:
             wu = free.mul(w, u)
             if wu is None:
-                continue
+                break  # every later word is longer
             lam = free.lam_map(w, u)
             rho = free.rho_map(w, u)
             ku = free.fiber_size(u)

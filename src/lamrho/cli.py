@@ -25,6 +25,7 @@ import os
 import sys
 
 from .errors import (
+    BUILTIN_SYSTEMS,
     DEFAULT_CONGRUENCE_CAP,
     DEFAULT_ISO_CAP,
     DEFAULT_UNIVERSE_CAP,
@@ -73,10 +74,11 @@ def _valid_semigroup(spec: str) -> FiniteSemigroup:
 def resolve_system(spec: str) -> LrSystem:
     from . import serialize
 
-    if spec in serialize.BUILTIN_SYSTEM_NAMES:
+    names = {cli: name for name, cli in BUILTIN_SYSTEMS.items() if cli}
+    if spec in names:
         from .actions import builtin_system
 
-        return builtin_system(serialize.BUILTIN_SYSTEM_NAMES[spec])
+        return builtin_system(names[spec])
     return serialize.system_from_dict(*_read_spec(spec))
 
 
@@ -239,7 +241,7 @@ def _cmd_examples(args) -> int:
 
     names = {
         "semigroups": sorted(CATALOG),
-        "systems": sorted(serialize.BUILTIN_SYSTEM_NAMES),
+        "systems": sorted(filter(None, BUILTIN_SYSTEMS.values())),
     }
     _emit(
         args,

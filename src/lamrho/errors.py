@@ -59,6 +59,15 @@ DEFAULT_UNIVERSE_CAP = 10**6
 DEFAULT_ISO_CAP = 32
 DEFAULT_CONGRUENCE_CAP = 20000
 
+# Built-in systems: library name -> CLI name (None: library only), read by
+# the CLI without loading an engine; ``actions`` builds each by ``_name_system``.
+BUILTIN_SYSTEMS = {
+    "boolean_shadow": None,  # the flip-flop system, for the subset product form
+    "flip_flop": "flipflop_system",
+    "left_zero": "lzero_system",
+    "non_semidirect": "nonsemidirect_system",
+}
+
 
 class MapRangeError(LamrhoError):
     """An index map has the wrong length or out-of-range values."""

@@ -16,13 +16,6 @@ import os
 from .errors import InputFormatError, LamrhoError
 from .semigroup import CATALOG, FiniteSemigroup, Homomorphism, Partition, _is_int
 
-BUILTIN_SYSTEM_NAMES = {
-    "flipflop_system": "flip_flop",
-    "lzero_system": "left_zero",
-    "nonsemidirect_system": "non_semidirect",
-}
-
-
 def _require(obj, field, where, types=None):
     if not isinstance(obj, dict):
         raise InputFormatError(where, field, "expected a JSON object")

@@ -142,22 +142,24 @@ class AxiomViolation(_Frozen):
 
 def _axiom_checks(elements, mul, fiber_size, lam, rho):
     """Yield ``(a, b, c, |I[abc]|, checks)`` for every triple whose product
-    abc is defined, in lexicographic order of ``elements``; ``mul`` returns
-    None for a product outside. ``checks`` holds alpha, beta and gamma, in
-    that order, as ``(axiom, f, g, h, k)`` read f o g == h o k, with k None
-    for the identity. ``lam(x, y)`` and ``rho(x, y)`` stand for the maps:
-    the maps themselves for a checker, slot positions for the enumerator.
+    abc is defined, in lexicographic order of ``elements``. ``mul`` returns
+    None for a product outside; once a·b is undefined, so is a·b' for every
+    later b' (words listed by length under a bound), so a row ends there.
+    ``checks`` holds alpha, beta and gamma, in that order, as
+    ``(axiom, f, g, h, k)`` read f o g == h o k, with k None for the
+    identity, where ``lam(x, y)`` and ``rho(x, y)`` give the positions of
+    the maps: in a list for a checker, slots for the enumerator.
     """
     for a in elements:
         for b in elements:
             ab = mul(a, b)
             if ab is None:
-                continue
+                break
             lam_ab, rho_ab = lam(a, b), rho(a, b)
             for c in elements:
                 abc = mul(ab, c)
                 if abc is None:
-                    continue
+                    break
                 bc = mul(b, c)
                 lam_ab_c, rho_a_bc = lam(ab, c), rho(a, bc)
                 yield a, b, c, fiber_size(abc), (
@@ -167,24 +169,24 @@ def _axiom_checks(elements, mul, fiber_size, lam, rho):
                 )
 
 
-def _axiom_walk(system, elements, mul, out, first_only):
-    """Append ``(axiom, a, b, c, point)`` to ``out`` for every failing point
-    of the checks :func:`_axiom_checks` yields over ``system``'s maps:
-    triples in its order, then points, then alpha, beta, gamma. Returns the
-    number of triples checked, those with an empty I[abc] included.
+def _axiom_failures(walk, maps, first_only):
+    """Check the triples of ``walk``, as :func:`_axiom_checks` yields them,
+    against ``maps`` read by position: triples in walk order, then points,
+    then alpha, beta, gamma. Returns the number of triples walked and the
+    ``(axiom, a, b, c, point)`` failures, only the first if ``first_only``.
     """
-    checked = 0
-    for a, b, c, size, checks in _axiom_checks(
-        elements, mul, system.fiber_size, system.lam_map, system.rho_map
-    ):
+    checked, found = 0, []
+    for a, b, c, size, checks in walk:
         checked += 1
         for p in range(size):
             for axiom, f, g, h, k in checks:
-                if f[g[p]] != (h[p] if k is None else h[k[p]]):
-                    out.append((axiom, a, b, c, p))
+                if maps[f][maps[g][p]] != (
+                    maps[h][p] if k is None else maps[h][maps[k][p]]
+                ):
+                    found.append((axiom, a, b, c, p))
                     if first_only:
-                        return checked
-    return checked
+                        return checked, found
+    return checked, found
 
 
 @functools.lru_cache(maxsize=_WALK_CACHE)
@@ -213,20 +215,11 @@ def _instance_walk(table, sizes):
 def axiom_violations(system: LrSystem, first_only: bool = False):
     """All composition-axiom failures (or just the first, if asked): triples
     in lexicographic order, then points, then alpha, beta, gamma."""
-    maps = system.lam + system.rho
-    found = []
-    for a, b, c, size, checks in _instance_walk(
+    walk = _instance_walk(
         tuple(map(tuple, system.base.table)), tuple(system.index_sizes)
-    ):
-        for p in range(size):
-            for axiom, f, g, h, k in checks:
-                if maps[f][maps[g][p]] != (
-                    maps[h][p] if k is None else maps[h][maps[k][p]]
-                ):
-                    found.append(AxiomViolation(axiom, a, b, c, p))
-                    if first_only:
-                        return found
-    return found
+    )
+    _, found = _axiom_failures(walk, system.lam + system.rho, first_only)
+    return [AxiomViolation(*v) for v in found]
 
 
 def validate_axioms(system: LrSystem) -> LrSystem:

@@ -241,6 +241,13 @@ class BrokenRho(TruncatedFreeSystem):
         return m
 
 
+class BrokenRhoAtBound(BrokenRho):
+    """Broken at a pair whose concatenation is as long as the bound allows,
+    where a walk that stops too early at the bound would miss it."""
+
+    broken_pair = ((0,), (1, 0))
+
+
 @pytest.mark.parametrize(
     "free",
     [
@@ -250,6 +257,7 @@ class BrokenRho(TruncatedFreeSystem):
         free_monoid_system(3, [[0, 2], [1]], [[2, 1], [0]], 3),
         BrokenRho((2, 2), 3),
         BrokenRho((2, 3), 4),
+        BrokenRhoAtBound((2, 2), 3),
     ],
 )
 def test_free_check_axioms_matches_reference(free):
@@ -257,6 +265,39 @@ def test_free_check_axioms_matches_reference(free):
     report = free.check_axioms()
     assert (report.instances, report.violations) == (instances, violations)
     assert report.ok != isinstance(free, BrokenRho)
+
+
+def count_undefined_products(free):
+    """Wrap ``free.mul`` to count the calls that return None."""
+    mul, undefined = free.mul, []
+
+    def counted(w, u):
+        wu = mul(w, u)
+        undefined.append(wu is None)
+        return wu
+
+    free.mul = counted
+    return undefined
+
+
+# Words run by length, so a walk leaves a row at its first product past
+# the bound: one undefined product per word of the outer loop, and for the
+# axiom check one more per in-bound pair of its middle loop.
+
+
+def test_free_axiom_check_stops_at_the_length_bound():
+    free = free_semigroup_system((1, 1), 6)
+    undefined = count_undefined_products(free)
+    assert free.check_axioms().instances == 888
+    pairs = sum(len(w) + len(u) <= 6 for w in free.words for u in free.words)
+    assert sum(undefined) <= len(free.words) + pairs  # 79,488 when every pair is tried
+
+
+def test_free_square_walk_stops_at_the_length_bound():
+    arrow = canonical_transformation(builtin_system("flip_flop"), 4)
+    undefined = count_undefined_products(arrow.free)
+    assert arrow.square_report().ok
+    assert sum(undefined) <= len(arrow.free.words)  # 832 when every pair is tried
 
 
 def test_first_square_violation_matches_reference():

@@ -611,6 +611,20 @@ def test_free_cap_applies_before_allocation(argv):
     assert "cap is 1000000" in proc.stderr
 
 
+def test_free_check_walks_only_in_bound_pairs():
+    # 19,530 words: 3.8e8 word pairs, of which 92,775 are within bound 6; a
+    # check that steps through every pair ran past 120 s on a 2-core VM
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    argv = ("free", "--sizes", "1,1,1,1,1", "--bound", "6")
+    proc = subprocess.run(
+        [sys.executable, "-c", FREE_UNDER_RLIMIT, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "axiom instances checked (within bound): 177000\n" in proc.stdout
+
+
 # The flags each command reads, kept here rather than read from the parser
 # table so that a change to either shows up as a failure.
 READS = {
