@@ -23,7 +23,7 @@ from .semigroup import (
     _Frozen,
     identity_element,
 )
-from .system import LrSystem, validate_axioms
+from .system import LrSystem, _defined_pairs, _map_equation_failures, validate_axioms
 
 
 class RightAction(_Frozen):
@@ -89,25 +89,20 @@ class TwoSidedAction(_Frozen):
             for i, row in enumerate(table):
                 if len(row) != width or any(not 0 <= v < self.carrier for v in row):
                     raise ActionLawError(f"{side} row {i} malformed")
-        for a in range(n):
-            for b in range(n):
-                ab = self.base.mul(a, b)
-                for x in range(self.carrier):
-                    if self.left[a][self.left[b][x]] != self.left[ab][x]:
-                        raise ActionLawError(
-                            f"left law fails at a={a}, b={b}, x={x}"
-                        )
-                    if self.right[self.right[x][a]][b] != self.right[x][ab]:
-                        raise ActionLawError(
-                            f"right law fails at a={a}, b={b}, x={x}"
-                        )
-                    if (
-                        self.right[self.left[a][x]][b]
-                        != self.left[a][self.right[x][b]]
-                    ):
-                        raise ActionLawError(
-                            f"compatibility fails at a={a}, b={b}, x={x}"
-                        )
+        # left[a] at a, the column _/a of right at n+a (none on an empty
+        # carrier, which has no point to read); a law reads f o g == h o k
+        maps = [*self.left, *zip(*self.right)]
+        walk = (
+            (a, b, self.carrier, (("left law", a, b, ab, None),
+                                  ("right law", n + b, n + a, n + ab, None),
+                                  ("compatibility", n + b, a, a, n + b)))
+            for a in range(n)
+            for b, ab in _defined_pairs(range(n), self.base.mul, a)
+        )
+        _, found = _map_equation_failures(walk, maps, True)
+        if found:
+            law, a, b, x = found[0]
+            raise ActionLawError(f"{law} fails at a={a}, b={b}, x={x}")
 
     def left_apply(self, a: int, x: int) -> int:
         return self.left[a][x]

@@ -32,7 +32,9 @@ from .errors import (
 )
 from .product import _encoder, _product_hom, _route, product_table, universe
 from .semigroup import FiniteSemigroup, Homomorphism, _Frozen, subsemigroup_table
-from .system import LrSystem, _axiom_checks, _axiom_failures, validate_axioms
+from .system import (
+    LrSystem, _axiom_checks, _defined_pairs, _map_equation_failures, validate_axioms
+)
 
 
 # ---------------------------------------------------------------------------
@@ -104,37 +106,24 @@ def identity_transformation(system: LrSystem) -> Transformation:
     )
 
 
-def _square_walk(elements, mul, h, source, target, maps, first_only):
-    """The number of in-range pairs checked and the ``(kind, a, b, point)``
-    failures, only the first if ``first_only``.
-
-    Pairs (a,b) of target base elements run in lexicographic order of
-    ``elements``, then points, then the lambda square before the rho
-    square. ``mul`` returns None for a product outside the target; once
-    a·b is undefined, so is a·b' for every later b' (words listed by length
-    under a bound), so a row ends there.
+def _square_walk(elements, mul, h, source, target, maps, slots):
+    """Yield ``(a, b, |I_source[h(a)h(b)]|, squares)`` for the defined
+    pairs of target base elements, in lexicographic order, after refilling
+    ``slots`` with the pair's maps lamJ[a,b], rhoJ[a,b], t[a], t[b],
+    lamI[h(a),h(b)], rhoI[h(a),h(b)] and t[ab]. A square
+    (kind, tgt, t[ab], t_c, src) reads tgt o t[ab] == t_c o src, lambda
+    first. One list serves every pair: :func:`_map_equation_failures`
+    finishes an entry before it draws the next.
     """
-    checked, found = 0, []
     for a in elements:
-        for b in elements:
-            ab = mul(a, b)
-            if ab is None:
-                break
-            checked += 1
+        for b, ab in _defined_pairs(elements, mul, a):
             ha, hb = h(a), h(b)
-            # (kind, tgt, t_c, src) reads tgt o t[ab] == t_c o src
-            squares = (
-                ("lambda", target.lam_map(a, b), maps[a], source.lam_map(ha, hb)),
-                ("rho", target.rho_map(a, b), maps[b], source.rho_map(ha, hb)),
+            slots[:] = (
+                target.lam_map(a, b), target.rho_map(a, b), maps[a], maps[b],
+                source.lam_map(ha, hb), source.rho_map(ha, hb), maps[ab],
             )
-            t_ab = maps[ab]
-            for p in range(source.fiber_size(source.base.mul(ha, hb))):
-                for kind, tgt, t_c, src in squares:
-                    if tgt[t_ab[p]] != t_c[src[p]]:
-                        found.append((kind, a, b, p))
-                        if first_only:
-                            return checked, found
-    return checked, found
+            size = source.fiber_size(source.base.mul(ha, hb))
+            yield a, b, size, (("lambda", 0, 6, 2, 4), ("rho", 1, 6, 3, 5))
 
 
 def validate_transformation(tr):
@@ -151,9 +140,10 @@ def validate_transformation(tr):
         where = "words "
     else:
         base = tr.target.base
-        _, found = _square_walk(
-            base.elements(), base.mul, tr.h, tr.source, tr.target, tr.maps, True
-        )
+        slots = []
+        _, found = _map_equation_failures(_square_walk(
+            base.elements(), base.mul, tr.h, tr.source, tr.target, tr.maps, slots
+        ), slots, True)
         where = ""
     if found:
         kind, a, b, p = found[0]
@@ -442,7 +432,7 @@ class TruncatedFreeSystem:
         walk = _axiom_checks(
             self.words, self.mul, self.fiber_size, lam, lambda w, u: lam(w, u) + 1
         )
-        instances, violations = _axiom_failures(walk, maps, False)
+        instances, violations = _map_equation_failures(walk, maps, False)
         return FreeAxiomReport(instances, tuple(violations))
 
     def unital_on_truncated(self) -> bool:
@@ -569,9 +559,10 @@ class FreeTransformation:
                     middle += 1
                     if comps[j] != canonical_component_alt(src, w, j, z):
                         violations.append(("middle", w, j, z))
-        pairs, squares = _square_walk(
-            free.words, free.mul, self.base_image, src, free, self.maps, False
-        )
+        slots = []
+        pairs, squares = _map_equation_failures(_square_walk(
+            free.words, free.mul, self.base_image, src, free, self.maps, slots
+        ), slots, False)
         return FreeSquareReport(pairs, middle, tuple(violations + squares))
 
 
@@ -636,6 +627,16 @@ def induced_free_hom(
             f"truncated free product has {count_text(domain_size)} elements, "
             f"cap is {cap}"
         )
+    pairs = sum(
+        h_sg.size ** (free.fiber_size(w) + free.fiber_size(u))
+        for w in free.words
+        for u, _ in _defined_pairs(free.words, free.mul, w)
+    )
+    if pairs > cap:
+        raise SizeCapError(
+            f"truncated free product has {count_text(pairs)} element pairs "
+            f"of in-bound words to check, cap is {cap}"
+        )
 
     def image_index(x: tuple, w: Word) -> int:
         return encode(tr.base_image(w), tuple(x[v] for v in tr.maps[w]))
@@ -647,20 +648,15 @@ def induced_free_hom(
     surjective = len(hit) == target.size
 
     homomorphic = True
-    pairs = 0
     for w in free.words:
         kw = free.fiber_size(w)
-        for u in free.words:
-            wu = free.mul(w, u)
-            if wu is None:
-                break  # every later word is longer
+        for u, wu in _defined_pairs(free.words, free.mul, w):
             lam = free.lam_map(w, u)
             rho = free.rho_map(w, u)
             ku = free.fiber_size(u)
             for x in itertools.product(range(h_sg.size), repeat=kw):
                 ix = image_index(x, w)
                 for y in itertools.product(range(h_sg.size), repeat=ku):
-                    pairs += 1
                     z = _route(h_sg, lam, rho, x, y)
                     if image_index(z, wu) != target.mul(ix, image_index(y, u)):
                         homomorphic = False

@@ -62,16 +62,21 @@ def resolve_semigroup(spec: str) -> FiniteSemigroup:
     return serialize.semigroup_from_dict(doc, where)
 
 
-def _valid_semigroup(spec: str) -> FiniteSemigroup:
-    """The semigroup ``spec`` names, refused unless its table associates."""
+def _associative(sg: FiniteSemigroup) -> FiniteSemigroup:
+    """``sg``, refused unless its table associates."""
     from .semigroup import validate_table
 
-    sg = resolve_semigroup(spec)
     validate_table(sg.table, sg.names)
     return sg
 
 
+def _valid_semigroup(spec: str) -> FiniteSemigroup:
+    """The semigroup ``spec`` names, refused unless its table associates."""
+    return _associative(resolve_semigroup(spec))
+
+
 def resolve_system(spec: str) -> LrSystem:
+    """The system ``spec`` names; a document's base must associate."""
     from . import serialize
 
     names = {cli: name for name, cli in BUILTIN_SYSTEMS.items() if cli}
@@ -79,13 +84,19 @@ def resolve_system(spec: str) -> LrSystem:
         from .actions import builtin_system
 
         return builtin_system(names[spec])
-    return serialize.system_from_dict(*_read_spec(spec))
+    system = serialize.system_from_dict(*_read_spec(spec))
+    _associative(system.base)
+    return system
 
 
 def resolve_action(spec: str):
+    """The action ``spec`` names; its base must associate. The laws are
+    checked on construction, so a failed law is reported first."""
     from . import serialize
 
-    return serialize.action_from_dict(*_read_spec(spec))
+    action = serialize.action_from_dict(*_read_spec(spec))
+    _associative(action.base)
+    return action
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -265,8 +276,8 @@ def _cmd_free(args) -> int:
             raise InputFormatError(where, "<json>", "expected an object")
         free = free_monoid_system(
             serialize._require(raw, "shared_size", where, int),
-            serialize._int_matrix(raw.get("lambda", []), "lambda", where),
-            serialize._int_matrix(raw.get("rho", []), "rho", where),
+            serialize._int_matrix(serialize._require(raw, "lambda", where), "lambda", where),
+            serialize._int_matrix(serialize._require(raw, "rho", where), "rho", where),
             args.bound,
             cap=args.cap,
         )

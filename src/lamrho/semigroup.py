@@ -120,6 +120,10 @@ class FiniteSemigroup(_Frozen):
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        # tuples, so a table built from lists hashes; tuple() keeps a tuple
+        _setattr(self, "table", tuple(map(tuple, self.table)))
+        if self.names is not None:
+            _setattr(self, "names", tuple(self.names))
         if self.size <= 0:
             raise TableFormatError("a semigroup needs at least one element")
         if len(self.table) != self.size:
@@ -142,8 +146,7 @@ class FiniteSemigroup(_Frozen):
 
     @staticmethod
     def from_rows(rows, names=None) -> "FiniteSemigroup":
-        table = tuple(tuple(row) for row in rows)
-        names = tuple(names) if names is not None else None
+        table = tuple(rows)
         return FiniteSemigroup(len(table), table, names)
 
     def mul(self, a: int, b: int) -> int:

@@ -32,7 +32,7 @@ from .errors import (
     SizeCapError,
     count_text,
 )
-from .semigroup import FiniteSemigroup, _Frozen, identity_element, is_group
+from .semigroup import FiniteSemigroup, _Frozen, _setattr, identity_element, is_group
 
 EXHAUSTIVE_BASE_CAP = 3
 EXHAUSTIVE_FIBER_CAP = 3
@@ -76,6 +76,10 @@ class LrSystem(_Frozen):
     rho: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # tuples, so a system built from lists hashes; tuple() keeps a tuple
+        _setattr(self, "index_sizes", tuple(self.index_sizes))
+        _setattr(self, "lam", tuple(map(tuple, self.lam)))
+        _setattr(self, "rho", tuple(map(tuple, self.rho)))
         n = self.base.size
         if len(self.index_sizes) != n:
             raise MapRangeError("need one index size per base element")
@@ -140,26 +144,29 @@ class AxiomViolation(_Frozen):
         )
 
 
+def _defined_pairs(elements, mul, x):
+    """Yield ``(y, x·y)`` for ``y`` in ``elements`` while ``mul`` defines
+    it: words are listed by length, so once x·y is past the length bound
+    (None), so is x·y' for every later y'."""
+    for y in elements:
+        xy = mul(x, y)
+        if xy is None:
+            return
+        yield y, xy
+
+
 def _axiom_checks(elements, mul, fiber_size, lam, rho):
     """Yield ``(a, b, c, |I[abc]|, checks)`` for every triple whose product
-    abc is defined, in lexicographic order of ``elements``. ``mul`` returns
-    None for a product outside; once a·b is undefined, so is a·b' for every
-    later b' (words listed by length under a bound), so a row ends there.
-    ``checks`` holds alpha, beta and gamma, in that order, as
-    ``(axiom, f, g, h, k)`` read f o g == h o k, with k None for the
-    identity, where ``lam(x, y)`` and ``rho(x, y)`` give the positions of
-    the maps: in a list for a checker, slots for the enumerator.
+    abc is defined, in lexicographic order of ``elements``. ``checks``
+    holds alpha, beta and gamma, in that order, as ``(axiom, f, g, h, k)``
+    read f o g == h o k, with k None for the identity, where ``lam(x, y)``
+    and ``rho(x, y)`` give the positions of the maps: in a list for a
+    checker, slots for the enumerator.
     """
     for a in elements:
-        for b in elements:
-            ab = mul(a, b)
-            if ab is None:
-                break
+        for b, ab in _defined_pairs(elements, mul, a):
             lam_ab, rho_ab = lam(a, b), rho(a, b)
-            for c in elements:
-                abc = mul(ab, c)
-                if abc is None:
-                    break
+            for c, abc in _defined_pairs(elements, mul, ab):
                 bc = mul(b, c)
                 lam_ab_c, rho_a_bc = lam(ab, c), rho(a, bc)
                 yield a, b, c, fiber_size(abc), (
@@ -169,21 +176,24 @@ def _axiom_checks(elements, mul, fiber_size, lam, rho):
                 )
 
 
-def _axiom_failures(walk, maps, first_only):
-    """Check the triples of ``walk``, as :func:`_axiom_checks` yields them,
-    against ``maps`` read by position: triples in walk order, then points,
-    then alpha, beta, gamma. Returns the number of triples walked and the
-    ``(axiom, a, b, c, point)`` failures, only the first if ``first_only``.
-    """
+def _map_equation_failures(walk, maps, first_only):
+    """Check the equations of ``walk`` against ``maps`` read by position.
+    An entry is ``(*key, size, checks)``, the key a triple for an axiom, a
+    pair for a square or an action law; a check ``(name, f, g, h, k)``
+    reads f o g == h o k at the points 0..size-1, k None for the identity.
+    Entries run in walk order, then points, then checks; each is finished
+    before the next is drawn, so a walk may refill ``maps`` between them.
+    Returns the number of entries walked and the ``(name, *key, point)``
+    failures, only the first if ``first_only``."""
     checked, found = 0, []
-    for a, b, c, size, checks in walk:
+    for *key, size, checks in walk:
         checked += 1
         for p in range(size):
-            for axiom, f, g, h, k in checks:
+            for name, f, g, h, k in checks:
                 if maps[f][maps[g][p]] != (
                     maps[h][p] if k is None else maps[h][maps[k][p]]
                 ):
-                    found.append((axiom, a, b, c, p))
+                    found.append((name, *key, p))
                     if first_only:
                         return checked, found
     return checked, found
@@ -195,18 +205,19 @@ def _instance_walk(table, sizes):
     ``(a, b, c, |I[abc]|, checks)`` in its order, for the triples whose
     I[abc] is nonempty. lam[x,y] sits at x*n+y and rho[x,y] at
     n*n+x*n+y, the layout of ``lam + rho``. One tuple per base table and
-    index sizes serves :func:`axiom_violations` and the enumerator; they
-    pass both as tuples, since a table may be built from lists.
+    index sizes serves :func:`axiom_violations` and the enumerator.
     """
     n = len(table)
+    # one int object per position, shared by every check that names it
+    pos = list(range(2 * n * n))
     return tuple(
         triple
         for triple in _axiom_checks(
             range(n),
             lambda x, y: table[x][y],
             sizes.__getitem__,
-            lambda x, y: x * n + y,
-            lambda x, y: n * n + x * n + y,
+            lambda x, y: pos[x * n + y],
+            lambda x, y: pos[n * n + x * n + y],
         )
         if triple[3]
     )
@@ -215,10 +226,8 @@ def _instance_walk(table, sizes):
 def axiom_violations(system: LrSystem, first_only: bool = False):
     """All composition-axiom failures (or just the first, if asked): triples
     in lexicographic order, then points, then alpha, beta, gamma."""
-    walk = _instance_walk(
-        tuple(map(tuple, system.base.table)), tuple(system.index_sizes)
-    )
-    _, found = _axiom_failures(walk, system.lam + system.rho, first_only)
+    walk = _instance_walk(system.base.table, system.index_sizes)
+    _, found = _map_equation_failures(walk, system.lam + system.rho, first_only)
     return [AxiomViolation(*v) for v in found]
 
 
@@ -413,21 +422,19 @@ def _candidates(slot, rng):
 
 
 def _instances(base, sizes):
-    """Axiom instances ``(axiom, |I[abc]|, slot positions, second-last)`` of
-    :func:`_instance_walk`, grouped by the last slot they read: positions
-    (f, g, h) read f o g == h, and (f, g, h, k) read f o g == h o k.
-    ``second-last`` is the largest slot read below the last one, or None
-    when the instance reads one slot only. Triples with an empty I[abc]
-    have none."""
+    """Axiom instances ``(|I[abc]|, check, second-last)`` of
+    :func:`_instance_walk`, grouped by the last slot they read. ``check``
+    is the walk's own ``(axiom, f, g, h, k)`` record of slot positions,
+    read f o g == h o k with k None for the identity. ``second-last`` is
+    the largest slot read below the last one, or None when the instance
+    reads one slot only. Triples with an empty I[abc] have none."""
     n = base.size
     by_last = [[] for _ in range(2 * n * n)]
-    walk = _instance_walk(tuple(map(tuple, base.table)), tuple(sizes))
-    for _, _, _, size, checks in walk:
-        for axiom, f, g, h, k in checks:
-            deps = (f, g, h) if k is None else (f, g, h, k)
-            read = sorted(set(deps))
+    for *_, size, checks in _instance_walk(base.table, sizes):
+        for check in checks:
+            read = sorted({*check[1:]} - {None})
             below = read[-2] if len(read) > 1 else None
-            by_last[read[-1]].append((axiom, size, deps, below))
+            by_last[read[-1]].append((size, check, below))
     return by_last
 
 
@@ -435,10 +442,10 @@ def _all_hold(insts, assign):
     """True when, for every instance of ``insts``, the maps at its slot
     positions in ``assign`` compose as :func:`_instances` reads them, at
     every point."""
-    for _, size, deps, _ in insts:
-        first, second, third = assign[deps[0]], assign[deps[1]], assign[deps[2]]
-        if len(deps) == 4:
-            fourth = assign[deps[3]]
+    for size, (_, f, g, h, k), _ in insts:
+        first, second, third = assign[f], assign[g], assign[h]
+        if k is not None:
+            fourth = assign[k]
             for p in range(size):
                 if first[second[p]] != third[fourth[p]]:
                     return False
@@ -513,7 +520,7 @@ def enumerate_systems(
     ahead = [{} for _ in slots]
     for last, insts in enumerate(_instances(base, sizes)):
         for inst in insts:
-            below = inst[3]
+            below = inst[2]
             if below is None or type(domains[last]) is not list:
                 checks_at[last].append(inst)
             else:

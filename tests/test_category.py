@@ -7,6 +7,7 @@ from lamrho import (
     TRIVIAL,
     Z2,
     ComposeMismatchError,
+    FiniteSemigroup,
     SizeCapError,
     Homomorphism,
     LrSystem,
@@ -27,6 +28,7 @@ from lamrho import (
     is_system_isomorphism,
     pullback_system,
     restrict,
+    singleton_system,
     validate_axioms,
     validate_transformation,
 )
@@ -244,6 +246,16 @@ def test_induced_free_hom_surjective_homomorphism():
     assert result.surjective
     assert result.codomain_size == 6
     assert result.pairs_checked > 0
+
+
+def test_induced_free_hom_caps_the_element_pairs_it_checks():
+    # 14 one-point words, so 420 elements over a cyclic group of order 30,
+    # but 20 in-bound word pairs of 30 * 30 element pairs each
+    cyclic = FiniteSemigroup(30, [[(i + j) % 30 for j in range(30)] for i in range(30)])
+    canon = canonical_transformation(singleton_system(JOIN2), bound=3)
+    with pytest.raises(SizeCapError, match="18000 element pairs"):
+        induced_free_hom(cyclic, canon, cap=10_000)
+    assert induced_free_hom(cyclic, canon, cap=18_000).pairs_checked == 18_000
 
 
 def test_free_monoid_singleton_shared_set():

@@ -214,6 +214,23 @@ def test_checker_instance_lists_are_bounded_and_kept_per_table_and_sizes():
                 assert as_tuples(axiom_violations(bad)) == expected
 
 
+def test_checks_naming_one_slot_hold_one_position_object():
+    from lamrho.system import _instance_walk
+
+    # Z12 has 288 slot positions, past the small ints the interpreter
+    # keeps a single object for
+    n = 12
+    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    held = {}
+    for *_, checks in _instance_walk(table, (1,) * n):
+        for _, *slots in checks:
+            for slot in slots:
+                if slot is not None:
+                    held.setdefault(slot, set()).add(id(slot))
+    assert max(held) > 256
+    assert all(len(objects) == 1 for objects in held.values())
+
+
 def test_seeded_streams_pass_the_reference_check():
     # enumerate_systems checks every axiom instance once, in its DFS, and
     # yields without re-validating: this gate holds its seeded streams to

@@ -63,6 +63,36 @@ def test_validate_nonassociative_table(capsys):
     assert "not associative" in err
 
 
+NOT_ASSOCIATIVE_2 = '{"size":2,"table":[[1,0],[0,0]]}'
+ONE_POINT_MAPS = {f"{a},{b}": [0] for a in range(2) for b in range(2)}
+OVER_NOT_ASSOCIATIVE_2 = {
+    "system": json.dumps(
+        {"base": json.loads(NOT_ASSOCIATIVE_2), "index_sizes": [1, 1],
+         "lambda": ONE_POINT_MAPS, "rho": ONE_POINT_MAPS}
+    ),
+    "action": json.dumps(
+        {"base": json.loads(NOT_ASSOCIATIVE_2), "carrier": 1,
+         "left": [[0], [0]], "right": [[0, 0]]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (("validate", "--system"), "system"),
+        (("validate", "--action"), "action"),
+        (("product", "--h", "z2", "--base"), "system"),
+        (("examples", "--system"), "system"),
+    ],
+)
+def test_a_nested_base_is_refused_as_the_same_base_given_alone(capsys, argv, doc):
+    _, _, alone = run(capsys, "validate", "--base", NOT_ASSOCIATIVE_2)
+    code, out, err = run(capsys, *argv, OVER_NOT_ASSOCIATIVE_2[doc])
+    assert (code, out, err) == (1, "", alone)
+    assert alone.startswith("not verified: not associative")
+
+
 @pytest.mark.parametrize("names", ["[]", '["a"]'])
 def test_validate_names_of_the_wrong_length_are_input_errors(capsys, names):
     # an empty list is a list of the wrong length, not an absent field
@@ -103,6 +133,8 @@ def test_json_booleans_are_input_errors(capsys):
     [
         ("quotient", "--partition", "[[0, 1], [1, 2]]", "classes"),
         ("free", "--system", '{"lambda": []}', "shared_size"),
+        ("free", "--system", '{"shared_size": 2}', "lambda"),
+        ("free", "--system", '{"shared_size": 2, "lambda": []}', "rho"),
     ],
 )
 def test_input_errors_name_the_inline_spec_or_the_file(

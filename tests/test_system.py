@@ -286,7 +286,16 @@ def test_enumerator_slots_and_instances_match_the_hand_written_reference():
                     base, sizes, unital_only
                 )
                 assert _slots(base, sizes, unital_only) == slots, (name, sizes)
-                assert _instances(base, sizes) == instances, (name, sizes)
+                # each record (size, check, second-last) read back as
+                # (axiom, size, slot positions, second-last)
+                read = [
+                    [
+                        (axiom, size, tuple(p for p in positions if p is not None), below)
+                        for size, (axiom, *positions), below in insts
+                    ]
+                    for insts in _instances(base, sizes)
+                ]
+                assert read == instances, (name, sizes)
     assert cases == 102
 
 

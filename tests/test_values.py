@@ -142,6 +142,16 @@ def test_post_init_still_checks_tables_partitions_and_maps():
         Homomorphism(Z2, Z2, (1, 1))
 
 
+def test_values_built_from_lists_equal_and_hash_as_those_from_tuples():
+    listed = FiniteSemigroup(2, [[0, 1], [1, 0]], ["0", "1"])
+    assert listed == Z2 and hash(listed) == hash(Z2)
+    system = LrSystem(TRIVIAL, [2], [(0, 1)], [[0, 0]])
+    same = LrSystem(TRIVIAL, (2,), ((0, 1),), ((0, 0),))
+    assert system == same and hash(system) == hash(same)
+    # a tuple is kept, not copied
+    assert same.lam[0] is LrSystem(TRIVIAL, (2,), same.lam, same.rho).lam[0]
+
+
 def test_a_product_table_equals_the_checked_construction():
     table = product_table(Z2, builtin_system("flip_flop"))
     checked = FiniteSemigroup(table.size, table.table, table.names)
