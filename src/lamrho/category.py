@@ -30,7 +30,7 @@ from .errors import (
     SquareViolationError,
     count_text,
 )
-from .product import _encoder, _product_hom, _route, product_table, universe
+from .product import _positions, _product_hom, _route, _tuples, product_table
 from .semigroup import FiniteSemigroup, Homomorphism, _Frozen, subsemigroup_table
 from .system import (
     LrSystem, _axiom_checks, _defined_pairs, _map_equation_failures, validate_axioms
@@ -226,8 +226,7 @@ def induced_hom(
     domain = product_table(h_sg, tr.target, cap=cap)
     codomain = product_table(h_sg, tr.source, cap=cap)
     images = (
-        (tr.h(p.anchor), tuple(p.values[v] for v in tr.maps[p.anchor]))
-        for p in universe(h_sg, tr.target, cap=cap)
+        (tr.h(a), tuple(x[v] for v in tr.maps[a])) for a, x in _tuples(h_sg, tr.target)
     )
     return _product_hom(domain, codomain, h_sg, tr.source, images)
 
@@ -619,7 +618,6 @@ def induced_free_hom(
     system = tr.source
     free = tr.free
     target = product_table(h_sg, system, cap=cap)
-    encode = _encoder(h_sg, system)
 
     domain_size = sum(h_sg.size ** free.fiber_size(w) for w in free.words)
     if domain_size > cap:
@@ -638,28 +636,24 @@ def induced_free_hom(
             f"of in-bound words to check, cap is {cap}"
         )
 
-    def image_index(x: tuple, w: Word) -> int:
-        return encode(tr.base_image(w), tuple(x[v] for v in tr.maps[w]))
-
-    hit = set()
+    # the image code of every fiber tuple x of every word w, by w and x
+    index = _positions(h_sg, system)
+    image = {}
     for w in free.words:
-        for x in itertools.product(range(h_sg.size), repeat=free.fiber_size(w)):
-            hit.add(image_index(x, w))
+        ow, t = tr.base_image(w), tr.maps[w]
+        fiber = itertools.product(range(h_sg.size), repeat=free.fiber_size(w))
+        image[w] = {x: index[ow, tuple(x[v] for v in t)] for x in fiber}
+    hit = set().union(*(codes.values() for codes in image.values()))
     surjective = len(hit) == target.size
 
-    homomorphic = True
-    for w in free.words:
-        kw = free.fiber_size(w)
-        for u, wu in _defined_pairs(free.words, free.mul, w):
-            lam = free.lam_map(w, u)
-            rho = free.rho_map(w, u)
-            ku = free.fiber_size(u)
-            for x in itertools.product(range(h_sg.size), repeat=kw):
-                ix = image_index(x, w)
-                for y in itertools.product(range(h_sg.size), repeat=ku):
-                    z = _route(h_sg, lam, rho, x, y)
-                    if image_index(z, wu) != target.mul(ix, image_index(y, u)):
-                        homomorphic = False
+    homomorphic = all(
+        image[wu][_route(h_sg, lam, rho, x, y)] == target.table[ix][iy]
+        for w in free.words
+        for u, wu in _defined_pairs(free.words, free.mul, w)
+        for lam, rho in [(free.lam_map(w, u), free.rho_map(w, u))]
+        for x, ix in image[w].items()
+        for y, iy in image[u].items()
+    )
     return FreeInducedHom(
         homomorphic, surjective, pairs, domain_size, target.size
     )

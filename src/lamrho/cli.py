@@ -64,10 +64,9 @@ def resolve_semigroup(spec: str) -> FiniteSemigroup:
 
 def _associative(sg: FiniteSemigroup) -> FiniteSemigroup:
     """``sg``, refused unless its table associates."""
-    from .semigroup import validate_table
+    from . import semigroup
 
-    validate_table(sg.table, sg.names)
-    return sg
+    return semigroup._associative(sg)
 
 
 def _valid_semigroup(spec: str) -> FiniteSemigroup:
@@ -236,7 +235,7 @@ def _cmd_examples(args) -> int:
     from . import serialize
 
     if args.base is not None:
-        sg = resolve_semigroup(args.base)
+        sg = _valid_semigroup(args.base)
         _emit(args, lambda: render_table(sg), serialize.semigroup_to_dict(sg))
         return 0
     if args.system is not None:

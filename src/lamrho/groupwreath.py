@@ -10,8 +10,6 @@ checks those steps mechanically on concrete systems.
 
 from __future__ import annotations
 
-import itertools
-
 from .actions import RightAction, from_right_action, wreath_oracle
 from .category import Transformation, is_system_isomorphism, validate_transformation
 from .errors import (
@@ -20,9 +18,8 @@ from .errors import (
     NotAHomomorphismError,
     NotGroupPreservingError,
     NotIsomorphicError,
-    SizeCapError,
 )
-from .product import _product_hom, product_table
+from .product import _product_hom, _tuples, product_table
 from .semigroup import (
     L2_1,
     L2,
@@ -180,19 +177,14 @@ def verify_wreath_iso(
     action, arrow = wreathize(system)
     prod = product_table(h_sg, system, cap=cap)
     oracle = wreath_oracle(h_sg, action, cap=cap)
-    if prod.size != oracle.size:
-        raise SizeCapError("universe sizes disagree; inconsistent caps")
 
     group_ok = is_group(prod)
     search_ok = find_isomorphism(oracle, prod, cap=max(prod.size, 1)) is not None
 
-    # explicit route: oracle elements are (u, g) with u over the carrier,
-    # and the arrow's maps[g] are the lam[e,g]
-    images = (
-        (g, tuple(u[i] for i in arrow.maps[g]))
-        for g in system.base.elements()
-        for u in itertools.product(range(h_sg.size), repeat=action.carrier)
-    )
+    # explicit route: the oracle lists its elements (u, g) in the product's
+    # order, as every fiber is the carrier, and the arrow's maps[g] are the
+    # lam[e,g]
+    images = ((g, tuple(u[i] for i in arrow.maps[g])) for g, u in _tuples(h_sg, system))
     try:
         construction_ok = _product_hom(oracle, prod, h_sg, system, images).is_bijective()
     except NotAHomomorphismError:

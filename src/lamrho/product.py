@@ -13,7 +13,6 @@ witnessing non-associativity, and this module constructs it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 
 from .errors import (
@@ -34,19 +33,26 @@ class ProductElement(_Frozen):
     values: tuple[int, ...]
 
     def label(self) -> str:
-        return f"{self.anchor}:" + "".join(str(v) for v in self.values)
+        return _name(self.anchor, self.values)
 
 
-def universe_size(h: FiniteSemigroup, system: LrSystem) -> int:
-    return sum(h.size ** k for k in system.index_sizes)
+def _name(anchor: int, values) -> str:
+    """The name "anchor:digits" of a product element."""
+    return f"{anchor}:" + "".join(map(str, values))
 
 
-# Element codes. The element (x, a) has the code
-#     offset[a] + sum_i x_i * |H|^(k-1-i),    k = |I[a]|,
-# where offset[a] counts the elements of the anchors before a. Codes are
-# exactly the positions in the documented order (anchors ascending, tuples
-# lexicographic with the leftmost index most significant), so the tables
-# below are built on codes and ProductElement is only a decode view.
+# Element codes. The code of a product element is its position in
+# :func:`_tuples`: anchors ascending, tuples lexicographic with the leftmost
+# index most significant. The tables below are built on codes, and
+# ProductElement is only a view of one position.
+
+
+def _tuples(h: FiniteSemigroup, system: LrSystem):
+    """Yields ``(anchor, values)`` for every product element, in code order.
+    An empty index set contributes a single element with the empty tuple."""
+    for a, k in enumerate(system.index_sizes):
+        for values in itertools.product(range(h.size), repeat=k):
+            yield a, values
 
 
 def _offsets(
@@ -67,46 +73,16 @@ def _offsets(
     return offsets
 
 
-def _encoder(h: FiniteSemigroup, system: LrSystem):
-    """A function giving the code of the element with the given anchor and
-    values (the engine's replacement for a universe-to-index dict)."""
-    offsets = _offsets(h, system)
-    m = h.size
-
-    def encode(anchor: int, values) -> int:
-        code = 0
-        for v in values:
-            code = code * m + v
-        return offsets[anchor] + code
-
-    return encode
-
-
-def _decode(h: FiniteSemigroup, system: LrSystem, offsets, code: int) -> ProductElement:
-    """The element with the given code; ``offsets`` from :func:`_offsets`."""
-    anchor = bisect.bisect_right(offsets, code) - 1
-    rest = code - offsets[anchor]
-    values = [0] * system.index_sizes[anchor]
-    for i in range(len(values) - 1, -1, -1):
-        rest, values[i] = divmod(rest, h.size)
-    return ProductElement(anchor, tuple(values))
+def universe_size(h: FiniteSemigroup, system: LrSystem) -> int:
+    return _offsets(h, system)[-1]
 
 
 def universe(
     h: FiniteSemigroup, system: LrSystem, cap: int = DEFAULT_UNIVERSE_CAP
 ) -> list[ProductElement]:
-    """All product elements: anchors ascending, tuples lexicographic
-    (leftmost index most significant). An empty index set contributes a
-    single element with the empty tuple.
-    """
+    """All product elements, in code order."""
     _offsets(h, system, cap)
-    out = []
-    for a in system.base.elements():
-        for values in itertools.product(
-            range(h.size), repeat=system.index_sizes[a]
-        ):
-            out.append(ProductElement(a, values))
-    return out
+    return list(itertools.starmap(ProductElement, _tuples(h, system)))
 
 
 def multiply(
@@ -158,20 +134,18 @@ def _rows(h: FiniteSemigroup, system: LrSystem, offsets) -> tuple[tuple[int, ...
     codes = list(range(offsets[-1]))
     zero = (0,) * m
     rows = []
-    for a in base.elements():
-        per_a = routes[a]
-        for x in itertools.product(range(m), repeat=sizes[a]):
-            row = []
-            for start, terms in per_a:
-                segment = [start]
-                for reads in terms:
-                    f = zero
-                    for l, w in reads:
-                        hx = h_rows[x[l]]
-                        f = [f[v] + hx[v] * w for v in range(m)]
-                    segment = [s + t for s in segment for t in f]
-                row.extend(segment)
-            rows.append(tuple(map(codes.__getitem__, row)))
+    for a, x in _tuples(h, system):
+        row = []
+        for start, terms in routes[a]:
+            segment = [start]
+            for reads in terms:
+                f = zero
+                for l, w in reads:
+                    hx = h_rows[x[l]]
+                    f = [f[v] + hx[v] * w for v in range(m)]
+                segment = [s + t for s in segment for t in f]
+            row.extend(segment)
+        rows.append(tuple(map(codes.__getitem__, row)))
     return tuple(rows)
 
 
@@ -187,12 +161,7 @@ def product_table(
     ``offsets[-1]`` codes and gives every row that many cells.
     """
     offsets = _offsets(h, system, cap)
-    digits = [str(v) for v in range(h.size)]
-    names = tuple(
-        f"{a}:" + "".join(values)
-        for a in system.base.elements()
-        for values in itertools.product(digits, repeat=system.index_sizes[a])
-    )
+    names = tuple(itertools.starmap(_name, _tuples(h, system)))
     return _trusted(offsets[-1], _rows(h, system, offsets), names)
 
 
@@ -216,12 +185,12 @@ def associativity_oracle(
     tested by :func:`associativity_witness`, so the witness is the first
     failing triple in enumeration order, if any.
     """
-    offsets = _offsets(h, system, cap)
-    witness = associativity_witness(_rows(h, system, offsets))
+    witness = associativity_witness(_rows(h, system, _offsets(h, system, cap)))
     if witness is None:
         return AssociativityReport(True)
+    elements = list(_tuples(h, system))
     return AssociativityReport(
-        False, tuple(_decode(h, system, offsets, code) for code in witness)
+        False, tuple(ProductElement(*elements[code]) for code in witness)
     )
 
 
@@ -320,8 +289,14 @@ def _product_hom(domain, target, h: FiniteSemigroup, system: LrSystem, images) -
     """The map sending domain element i to the i-th (anchor, values) of
     ``images`` in ``target``, the product table of H over the system,
     checked as a homomorphism."""
-    encode = _encoder(h, system)
-    return Homomorphism(domain, target, tuple(encode(a, v) for a, v in images))
+    index = _positions(h, system)
+    return Homomorphism(domain, target, tuple(map(index.__getitem__, images)))
+
+
+def _positions(h: FiniteSemigroup, system: LrSystem) -> dict:
+    """The code of each ``(anchor, values)``: for a caller that builds the
+    system's full table too, whose cells outnumber these entries."""
+    return {element: code for code, element in enumerate(_tuples(h, system))}
 
 
 def subset_multiply(

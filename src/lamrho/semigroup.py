@@ -10,6 +10,7 @@ value objects.
 from __future__ import annotations
 
 import itertools
+import math
 from operator import add, attrgetter, itemgetter
 
 from .errors import (
@@ -217,7 +218,12 @@ def validate_table(rows, names=None) -> FiniteSemigroup:
     rows = list(rows)
     if any(len(row) != len(rows) for row in rows):
         raise TableFormatError("table must be square")
-    sg = FiniteSemigroup.from_rows(rows, names)
+    return _associative(FiniteSemigroup.from_rows(rows, names))
+
+
+def _associative(sg: FiniteSemigroup) -> FiniteSemigroup:
+    """``sg``, unless its table fails associativity: then NonAssociativeError
+    names the first failing triple and carries it as its witness."""
     witness = associativity_witness(sg.table)
     if witness is not None:
         i, j, k = witness
@@ -300,22 +306,25 @@ def _closure_walk(table, candidates) -> tuple[dict, list]:
     phi, gens = {}, []
     for x in candidates:
         if x not in phi:
-            _extend(table, table, phi, gens, x, x)
+            _extend(table, table, phi, gens, x, x, injective=False)
             gens.append(x)
     return phi, gens
 
 
-def _extend(ta, tb, phi: dict, gens, x: int, img: int, injective: bool = True) -> bool:
+def _extend(
+    ta, tb, phi: dict, gens, x: int, img: int, injective: bool = True, limit: float = math.inf
+) -> bool:
     """Extend ``phi`` in place from <gens> to <gens, x>, with x -> img.
 
     ``phi`` maps <gens>, which misses x, in table ``ta`` homomorphically
     into table ``tb``, and injectively unless ``injective`` is false (a
-    division map may merge elements). The walk assigns or checks
+    division map may merge elements; the identity map of a closure walk
+    cannot repeat an image). The walk assigns or checks
     phi(u*g) = phi(u)*phi(g) on each new edge of the right Cayley graph:
     every old element times x, every new element times every generator. In
     a semigroup that is the homomorphism law, by induction on word length.
-    Returns False on a clash or, when injective, a repeated image, with
-    ``phi`` part-built.
+    Returns False on a clash, on a repeated image when injective and once
+    ``phi`` would pass ``limit`` elements, with ``phi`` part-built.
     """
     if injective:
         used = set(phi.values())
@@ -327,6 +336,8 @@ def _extend(ta, tb, phi: dict, gens, x: int, img: int, injective: bool = True) -
     walk = [(u, edges[-1:]) for u in phi]
     walk.append((x, edges))
     phi[x] = img
+    if len(phi) > limit:
+        return False
     for u, out in walk:  # grows as the walk finds elements
         row_u, row_v = ta[u], tb[phi[u]]
         for g, vg in out:
@@ -337,6 +348,8 @@ def _extend(ta, tb, phi: dict, gens, x: int, img: int, injective: bool = True) -
                     if v in used:
                         return False
                     used.add(v)
+                if len(phi) >= limit:
+                    return False
                 phi[z] = v
                 walk.append((z, edges))
             elif w != v:
@@ -833,7 +846,11 @@ def divides(
             if decided is None:
                 return None
             if len(_irreducibles(t.table)) <= 3:  # else no closure maps onto t
-                subs = itertools.chain(subs, _closures(s, t.size))
+                # the closure of at most 3 preimages is itself a candidate,
+                # so no larger one is the least
+                gens, phi = decided
+                bound = len(phi) if len(gens) <= 3 else math.inf
+                subs = itertools.chain(subs, _closures(s, t.size, bound))
         twins = _twins(t)
     for gens, elems in subs:
         sub = s if gens is None else subsemigroup_table(s, elems)
@@ -926,32 +943,30 @@ def _division_map(t: FiniteSemigroup, s: FiniteSemigroup, fits: list, tick):
     return None
 
 
-def _closures(s: FiniteSemigroup, min_size: int):
-    """Yields the proper closures of 1 to 3 generators with at least
-    ``min_size`` elements, as (first generators, elements) sorted by
+def _closures(s: FiniteSemigroup, min_size: int, max_size: float = math.inf):
+    """Yields the proper closures of 1 to 3 generators with ``min_size`` to
+    ``max_size`` elements, as (first generators, elements) sorted by
     (size, elements); a generator, so that :func:`divides` builds the list
     only once the whole semigroup has missed."""
     # each closure extends a copy of the one before by the next generator,
     # the steps subsemigroup_closure would take; a generator already inside
-    # gives a closure that a shorter generator tuple has already found
+    # gives a closure that a shorter generator tuple has already found. A
+    # walk stops once its closure passes max_size, and a closure of
+    # max_size elements is not extended, as no extension fits
     found = ({}, {}, {})  # closure -> first generators, by generator count
     table, n = s.table, s.size
-    for g1 in range(n):
-        one = {}
-        _extend(table, table, one, [], g1, g1)
-        found[0].setdefault(tuple(sorted(one)), (g1,))
-        for g2 in range(g1 + 1, n):
-            if g2 in one:
+
+    def walk(closure, gens, start):
+        for g in range(start, n):
+            if g in closure:
                 continue
-            two = dict(one)
-            _extend(table, table, two, [g1], g2, g2)
-            found[1].setdefault(tuple(sorted(two)), (g1, g2))
-            for g3 in range(g2 + 1, n):
-                if g3 in two:
-                    continue
-                three = dict(two)
-                _extend(table, table, three, [g1, g2], g3, g3)
-                found[2].setdefault(tuple(sorted(three)), (g1, g2, g3))
+            grown = dict(closure)
+            if _extend(table, table, grown, gens, g, g, False, max_size):
+                found[len(gens)].setdefault(tuple(sorted(grown)), (*gens, g))
+                if len(gens) < 2 and len(grown) < max_size:
+                    walk(grown, [*gens, g], g + 1)
+
+    walk({}, [], 0)
     first = {**found[2], **found[1], **found[0]}  # fewest generators win
     subs = [(g, c) for c, g in first.items() if min_size <= len(c) < s.size]
     yield from sorted(subs, key=lambda item: (len(item[1]), item[1]))

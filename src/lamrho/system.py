@@ -32,7 +32,9 @@ from .errors import (
     SizeCapError,
     count_text,
 )
-from .semigroup import FiniteSemigroup, _Frozen, _setattr, identity_element, is_group
+from .semigroup import (
+    FiniteSemigroup, _associative, _Frozen, _setattr, identity_element, is_group
+)
 
 EXHAUSTIVE_BASE_CAP = 3
 EXHAUSTIVE_FIBER_CAP = 3
@@ -232,11 +234,15 @@ def axiom_violations(system: LrSystem, first_only: bool = False):
 
 
 def validate_axioms(system: LrSystem) -> LrSystem:
-    """Check all three axioms over every triple and index point.
+    """Check that the base associates, then all three axioms over every
+    triple and index point.
 
-    Returns the system unchanged on success; raises AxiomViolationError
-    carrying the first violation otherwise.
+    Returns the system unchanged on success. Raises NonAssociativeError, as
+    :func:`~lamrho.semigroup.validate_table` does, for a base that does not
+    associate, and AxiomViolationError carrying the first violation
+    otherwise.
     """
+    _associative(system.base)
     found = axiom_violations(system, first_only=True)
     if found:
         raise AxiomViolationError(str(found[0]), violation=found[0])

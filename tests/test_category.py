@@ -32,6 +32,8 @@ from lamrho import (
     validate_axioms,
     validate_transformation,
 )
+from lamrho.category import FreeInducedHom, FreeTransformation
+from lamrho.product import ProductElement, multiply, universe_size
 
 FLIP = builtin_system("flip_flop")
 LZ = builtin_system("left_zero")
@@ -256,6 +258,66 @@ def test_induced_free_hom_caps_the_element_pairs_it_checks():
     with pytest.raises(SizeCapError, match="18000 element pairs"):
         induced_free_hom(cyclic, canon, cap=10_000)
     assert induced_free_hom(cyclic, canon, cap=18_000).pairs_checked == 18_000
+
+
+def _free_hom_by_evaluation(h, tr):
+    """induced_free_hom's report, with every element pair multiplied by
+    ``product.multiply`` on both sides."""
+    system, free = tr.source, tr.free
+
+    def fiber(w):
+        return list(itertools.product(range(h.size), repeat=free.fiber_size(w)))
+
+    def image(x, w):
+        return ProductElement(tr.base_image(w), tuple(x[v] for v in tr.maps[w]))
+
+    hit = {image(x, w) for w in free.words for x in fiber(w)}
+    homomorphic, pairs = True, 0
+    for w, u in itertools.product(free.words, repeat=2):
+        wu = free.mul(w, u)
+        if wu is None:
+            continue
+        lam, rho = free.lam_map(w, u), free.rho_map(w, u)
+        for x, y in itertools.product(fiber(w), fiber(u)):
+            pairs += 1
+            z = tuple(h.mul(x[i], y[j]) for i, j in zip(lam, rho))
+            if image(z, wu) != multiply(h, system, image(x, w), image(y, u)):
+                homomorphic = False
+    domain = sum(len(fiber(w)) for w in free.words)
+    size = universe_size(h, system)
+    return FreeInducedHom(homomorphic, len(hit) == size, pairs, domain, size)
+
+
+def _broken(canon, maps):
+    """The canonical arrow with some word maps replaced."""
+    return FreeTransformation(canon.source, canon.free, {**canon.maps, **maps})
+
+
+def test_induced_free_hom_reports_a_broken_word_map():
+    canon = canonical_transformation(FLIP, bound=3)
+    whole = induced_free_hom(Z2, canon)
+    assert whole == _free_hom_by_evaluation(Z2, canon)
+    # (1, 1) evaluates to 1, whose 2 points the canonical map sends to
+    # different points of the word's 4-point fiber
+    assert canon.maps[1, 1] != (0, 0)
+    broken = _broken(canon, {(1, 1): (0, 0)})
+    report = induced_free_hom(Z2, broken)
+    assert report == _free_hom_by_evaluation(Z2, broken)
+    assert not report.homomorphic and report.surjective
+    assert (report.pairs_checked, report.domain_size) == (whole.pairs_checked, whole.domain_size)
+
+
+def test_induced_free_hom_reports_a_missed_image():
+    # every word evaluating to 1 reads its first point twice, so no tuple
+    # with two different values at anchor 1 is hit
+    canon = canonical_transformation(FLIP, bound=2)
+    whole = induced_free_hom(Z2, canon)
+    assert whole.ok
+    broken = _broken(canon, {w: (0, 0) for w in canon.free.words if canon.base_image(w) == 1})
+    report = induced_free_hom(Z2, broken)
+    assert report == _free_hom_by_evaluation(Z2, broken)
+    assert not report.surjective
+    assert (report.pairs_checked, report.domain_size) == (whole.pairs_checked, whole.domain_size)
 
 
 def test_free_monoid_singleton_shared_set():

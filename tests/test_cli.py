@@ -93,6 +93,13 @@ def test_a_nested_base_is_refused_as_the_same_base_given_alone(capsys, argv, doc
     assert alone.startswith("not verified: not associative")
 
 
+def test_examples_refuses_a_base_that_does_not_associate(capsys):
+    # the dump reads its base through the same check as every other --base
+    code, out, err = run(capsys, "examples", "--base", NOT_ASSOCIATIVE_2)
+    assert (code, out) == (1, "")
+    assert err == "not verified: not associative: (0*0)*1 = 0 but 0*(0*1) = 1\n"
+
+
 @pytest.mark.parametrize("names", ["[]", '["a"]'])
 def test_validate_names_of_the_wrong_length_are_input_errors(capsys, names):
     # an empty list is a list of the wrong length, not an absent field

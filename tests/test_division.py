@@ -4,6 +4,10 @@ witness when the closures of at most three generators miss, and the node
 cap."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -14,12 +18,18 @@ from lamrho import (
     Z2,
     Z3,
     FiniteSemigroup,
+    Homomorphism,
+    Partition,
     SearchCapError,
     builtin_system,
     direct_product,
     divides,
+    from_two_sided_action,
+    is_congruence,
+    natural_two_sided_action,
     product_table,
     quotient,
+    subsemigroup_closure,
     subsemigroup_table,
     validate_table,
 )
@@ -308,3 +318,53 @@ def test_extend_merges_images_when_not_injective():
     # a clash still fails: 1 -> 1 from Z2 into Z3 sends 1*1 = 0 to 2, and
     # then 0*1 = 1 to 0, not 1
     assert not _extend(Z2.table, Z3.table, {}, [], 1, 1, injective=False)
+
+
+def test_extend_stops_once_the_map_passes_its_limit():
+    # <2> in Z3 is all 3 elements: a limit of 2 stops the walk part-built
+    phi = {}
+    assert not _extend(Z3.table, Z3.table, phi, [], 2, 2, injective=False, limit=2)
+    assert len(phi) == 2
+    phi = {}
+    assert _extend(Z3.table, Z3.table, phi, [], 2, 2, injective=False, limit=3)
+    assert sorted(phi) == [0, 1, 2]
+
+
+def test_bounded_closures_are_the_small_closures():
+    s = direct_product(L4_1, L2_1)
+    everything = list(sgmod._closures(s, 1))
+    for bound in range(1, s.size + 1):
+        small = [item for item in everything if len(item[1]) <= bound]
+        assert list(sgmod._closures(s, 1, bound)) == small
+
+
+DIVIDES_P_PRIME = """
+import json
+from lamrho import L2_1, Z2, divides, from_two_sided_action, natural_two_sided_action
+from lamrho import product_table
+s = product_table(Z2, from_two_sided_action(natural_two_sided_action(L2_1)))
+w = divides(Z2, s)
+print(json.dumps([w.sub_generators, w.sub_elements, w.partition.classes, w.iso.map]))
+"""
+
+
+def test_divides_builds_no_closure_larger_than_the_decisions():
+    # Z2 over the natural two-sided action of L2_1 has 1,536 elements and
+    # no map onto Z2, so the closures are tried; the decision's preimage 1
+    # closes to {0, 1}, and no closure past 2 elements is walked, where all
+    # closures of 3 generators would be about 6e8 walks
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sgmod.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", DIVIDES_P_PRIME],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    gens, elems, classes, iso = json.loads(proc.stdout)
+    assert (gens, elems, classes, iso) == ([1], [0, 1], [[0], [1]], [0, 1])
+    s = product_table(Z2, from_two_sided_action(natural_two_sided_action(L2_1)))
+    assert subsemigroup_closure(s, gens) == tuple(elems)
+    sub = subsemigroup_table(s, elems)
+    part = Partition.from_classes(sub.size, classes)
+    assert is_congruence(sub, part)
+    assert Homomorphism(quotient(sub, part), Z2, tuple(iso)).is_bijective()

@@ -463,10 +463,10 @@ def test_divides_builds_no_closure_when_the_whole_semigroup_hits(monkeypatch):
     built, calls = [], []
     closures = sgmod._closures
 
-    def counting_closures(sg, min_size):
+    def counting_closures(sg, *args):
         # the list is built when the generator first runs
         built.append(sg)
-        for item in closures(sg, min_size):
+        for item in closures(sg, *args):
             calls.append(item)
             yield item
 

@@ -18,8 +18,10 @@ from lamrho import (
     Z2,
     Z3,
     AxiomViolationError,
+    FiniteSemigroup,
     LrSystem,
     MapRangeError,
+    NonAssociativeError,
     SizeCapError,
     axiom_violations,
     builtin_system,
@@ -30,6 +32,7 @@ from lamrho import (
     is_unital,
     singleton_system,
     validate_axioms,
+    validate_table,
 )
 
 
@@ -61,6 +64,21 @@ def test_shape_validation_rejects_bad_lengths():
         LrSystem(TRIVIAL, (2,), ((0,),), ((0, 0),))
     with pytest.raises(MapRangeError):
         LrSystem(TRIVIAL, (2,), ((0, 2),), ((0, 0),))
+
+
+def test_validate_axioms_refuses_a_base_that_does_not_associate():
+    # every map is forced on one-point fibers, so all three axioms hold;
+    # the base itself is the fault, reported as validate_table reports it
+    magma = FiniteSemigroup(2, [[1, 0], [0, 0]])
+    system = LrSystem(magma, (1, 1), [(0,)] * 4, [(0,)] * 4)
+    assert not axiom_violations(system)
+    with pytest.raises(NonAssociativeError) as alone:
+        validate_table(magma.table)
+    with pytest.raises(NonAssociativeError) as caught:
+        validate_axioms(system)
+    assert str(caught.value) == str(alone.value)
+    assert str(caught.value) == "not associative: (0*0)*1 = 0 but 0*(0*1) = 1"
+    assert caught.value.witness == alone.value.witness == (0, 0, 1)
 
 
 def test_axiom_violation_reports_triple_and_point():
