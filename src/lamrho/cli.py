@@ -133,14 +133,16 @@ def render_table(sg: FiniteSemigroup) -> str:
 
 
 def _emit(args, text_render, json_obj) -> None:
+    # one encoding serves standard output and the --out file
+    doc = json.dumps(json_obj, indent=2) if args.format == "json" or args.out else None
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
+        print(doc)
     else:
         print(text_render() if callable(text_render) else text_render)
     if args.out:
         from . import serialize
 
-        serialize.dump_json(json_obj, args.out)
+        serialize.dump_json(json_obj, args.out, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,13 @@ class ProductElement(_Frozen):
     values: tuple[int, ...]
 
     def label(self) -> str:
-        return _name(self.anchor, self.values)
+        return _name(self.anchor, map(str, self.values))
 
 
-def _name(anchor: int, values) -> str:
-    """The name "anchor:digits" of a product element."""
-    return f"{anchor}:" + "".join(map(str, values))
+def _name(anchor: int, digits) -> str:
+    """The name "anchor:digits" of a product element, from the strings of
+    its values."""
+    return f"{anchor}:" + "".join(digits)
 
 
 # Element codes. The code of a product element is its position in
@@ -47,11 +48,14 @@ def _name(anchor: int, values) -> str:
 # ProductElement is only a view of one position.
 
 
-def _tuples(h: FiniteSemigroup, system: LrSystem):
+def _tuples(h: FiniteSemigroup, system: LrSystem, letters=None):
     """Yields ``(anchor, values)`` for every product element, in code order.
-    An empty index set contributes a single element with the empty tuple."""
+    An empty index set contributes a single element with the empty tuple.
+    ``letters[v]`` stands for the element v of H in ``values``; by default
+    it is v itself."""
+    letters = h.elements() if letters is None else letters
     for a, k in enumerate(system.index_sizes):
-        for values in itertools.product(range(h.size), repeat=k):
+        for values in itertools.product(letters, repeat=k):
             yield a, values
 
 
@@ -161,7 +165,9 @@ def product_table(
     ``offsets[-1]`` codes and gives every row that many cells.
     """
     offsets = _offsets(h, system, cap)
-    names = tuple(itertools.starmap(_name, _tuples(h, system)))
+    # each value of H spelled once, not once per coordinate
+    digits = list(map(str, h.elements()))
+    names = tuple(itertools.starmap(_name, _tuples(h, system, digits)))
     return _trusted(offsets[-1], _rows(h, system, offsets), names)
 
 

@@ -176,26 +176,55 @@ def _trusted(size: int, table, names) -> FiniteSemigroup:
     return sg
 
 
+# bytes.translate maps through a table of 256 bytes, so a table of at most
+# this many elements is checked on its rows packed as bytes; a larger one on
+# tuples.
+_BYTE_ROWS = 256
+# From this size on, Light's test over the greedy generators G runs before
+# the check over every right factor; below it only the check over every
+# factor runs, with no generator walk, and its first mismatch is the
+# witness. Per call on associative tables, every factor against G first
+# (2-core VM, Python 3.11.7, best of 5): the sixteen 54-element products of
+# the `tables` benchmark (|G| = 34-50) 0.28-0.31 against 0.55-0.86 ms, and
+# Z_56 (|G| = 2) 0.31 against 0.09 ms; at 64 elements, products with
+# |G| = 4-16 0.41-0.43 against 0.14-0.36 ms and the left-zero semigroup
+# (G is every element) 0.42 against 1.25 ms.
+_GREEDY_FROM = 64
+
+
 def associativity_witness(table) -> tuple[int, int, int] | None:
     """First triple (i,j,k) with (ij)k != i(jk) in lexicographic order, or
     None when the table is associative.
 
-    Light's test decides first: with G from :func:`greedy_generators`, it
-    checks (xg)y == x(gy) for every g in G and all x, y, which is n^2 |G|
-    lookups instead of n^3. It is sound for any magma: the elements g with
-    (xg)y == x(gy) for all x, y form a submagma, and it contains G. Only
-    when a check fails does the lexicographic scan run, so the witness is
-    always the first failing triple.
+    Raises TableFormatError when a row's length is not the number of rows
+    and OutOfRangeEntryError when an entry is not an element index.
+
+    A table of at most 256 elements is checked on its rows packed as bytes,
+    one left factor i at a time: the rows of the right factors j, laid end
+    to end and translated through row i, give i(jk) for all j and k, and the
+    rows of the products ij, laid end to end, give (ij)k, so two C-speed
+    byte strings are compared per row. Below 64 elements the right factors
+    are all elements, and the first differing byte of the first failing row
+    is the witness. From 64 on, Light's test decides first: the right
+    factors are G from :func:`greedy_generators`, n^2 |G| cells instead of
+    n^3. It is sound for any magma: the elements g with (xg)y == x(gy) for
+    all x, y form a submagma, and it contains G. Only when it fails does
+    the check over all right factors run, which stops at the first failing
+    row. A larger table runs Light's test on tuple rows, with the
+    lexicographic scan after a failure.
     """
-    rows = list(map(tuple, table))
+    rows = _checked_rows(table)
     n = len(rows)
-    if n > 1:  # itemgetter of one item would return a bare int
-        for g in _greedy_generators(rows):
-            x_gy = itemgetter(*rows[g])  # row x -> the row of x(gy) over y
-            if any(x_gy(row_x) != rows[row_x[g]] for row_x in rows):
-                break
-        else:
+    if n <= _BYTE_ROWS:
+        if n >= _GREEDY_FROM and _byte_witness(rows, bytes(_greedy_generators(rows))) is None:
             return None
+        return _byte_witness(rows, bytes(range(n)))
+    for g in _greedy_generators(rows):
+        x_gy = itemgetter(*rows[g])  # row x -> the row of x(gy) over y
+        if any(x_gy(row_x) != rows[row_x[g]] for row_x in rows):
+            break
+    else:
+        return None
     for i in range(n):
         row_i = rows[i]
         for j in range(n):
@@ -205,6 +234,53 @@ def associativity_witness(table) -> tuple[int, int, int] | None:
             for k in range(n):
                 if row_ij[k] != row_i[row_j[k]]:
                     return (i, j, k)
+    return None
+
+
+def _checked_rows(table) -> list:
+    """The rows of ``table``, as bytes up to 256 elements and as tuples
+    beyond, once every row has one entry per element and every entry is an
+    element index."""
+    n = len(table)
+    try:
+        if n <= _BYTE_ROWS:
+            # bytes() of an int row would be that many zero bytes
+            rows = [bytes(tuple(row)) for row in table]
+            strays = b"".join(rows).translate(None, bytes(range(n)))
+        else:
+            rows = list(map(tuple, table))
+            strays = not all(map(set(range(n)).issuperset, rows))
+        if not strays and all(len(row) == n for row in rows):
+            return rows
+    except (TypeError, ValueError):  # an entry bytes() cannot hold
+        pass
+    for i, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            raise TableFormatError(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not (isinstance(v, int) and 0 <= v < n):
+                raise OutOfRangeEntryError(f"entry ({i},{j}) = {v!r} is not an element index")
+    raise TableFormatError("table entries must be element indices")
+
+
+def _byte_witness(rows: list, factors: bytes) -> tuple[int, int, int] | None:
+    """First (i, j, k) with j in ``factors`` and (ij)k != i(jk), over i,
+    then ``factors`` in their order, then k. ``rows`` are bytes rows of at
+    most 256 elements with every entry in range, so no row's padding to a
+    256-byte translation table is read."""
+    n = len(rows)
+    pad = bytes(256 - n)
+    jk = b"".join(map(rows.__getitem__, factors))
+    for i, row_i in enumerate(rows):
+        times_i = row_i + pad
+        i_jk = jk.translate(times_i)
+        ij_k = b"".join(map(rows.__getitem__, factors.translate(times_i)))
+        if i_jk != ij_k:
+            # the first differing byte is the highest one set in the xor
+            diff = int.from_bytes(i_jk, "big") ^ int.from_bytes(ij_k, "big")
+            j, k = divmod(len(jk) - 1 - (diff.bit_length() - 1) // 8, n)
+            return i, factors[j], k
     return None
 
 

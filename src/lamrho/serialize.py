@@ -293,10 +293,16 @@ def load_action(path: str):
     )
 
 
-def dump_json(obj, path: str) -> None:
+def dump_json(obj, path: str, text: str | None = None) -> None:
+    """Write ``obj`` to ``path`` as JSON indented by 2, with a final newline.
+    ``text`` is that encoding, ``json.dumps(obj, indent=2)``, when the
+    caller has made it already; the indenting encoder is pure Python."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
+            if text is None:
+                json.dump(obj, fh, indent=2)
+            else:
+                fh.write(text)
             fh.write("\n")
     except OSError as exc:
         raise InputFormatError(path, "<file>", exc.strerror or str(exc)) from None

@@ -441,6 +441,31 @@ def test_out_writes_reloadable_artifact(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("product", "--base", "flipflop_system", "--h", "z2"),
+        ("quotient", "--base", "{P6}", "--partition", "[[0],[1],[2,3],[4,5]]"),
+        ("examples",),
+        ("examples", "--base", "l2_1"),
+    ],
+)
+def test_out_file_holds_the_bytes_of_the_json_output(capsys, tmp_path, argv):
+    p6 = tmp_path / "p6.json"
+    serialize.dump_json(
+        serialize.semigroup_to_dict(product_table(Z2, builtin_system("flip_flop"))), str(p6)
+    )
+    argv = [str(p6) if a == "{P6}" else a for a in argv]
+    json_out, text_out = tmp_path / "json.out", tmp_path / "text.out"
+    code, out, _ = run(capsys, *argv, "--format", "json", "--out", str(json_out))
+    assert code == 0 and out.endswith("}\n")
+    assert json_out.read_bytes() == out.encode("utf-8")
+    # the pretty format prints a table, and its --out file is the same JSON
+    code, pretty, _ = run(capsys, *argv, "--out", str(text_out))
+    assert code == 0 and pretty != out
+    assert text_out.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("free", "--sizes", "1,2", "--bound", "0"),
         ("free", "--sizes", "1,-1"),
         ("free", "--system", '{"shared_size": 2, "lambda": [[0, 5]], "rho": [[0, 1]]}'),

@@ -20,8 +20,10 @@ from lamrho import (
     NonAssociativeError,
     NotACongruenceError,
     NotAHomomorphismError,
+    OutOfRangeEntryError,
     Partition,
     RightAction,
+    TableFormatError,
     all_congruences,
     congruence_generated_by,
     direct_product,
@@ -40,6 +42,7 @@ from lamrho import (
     subsemigroup_table,
     validate_table,
 )
+from lamrho import semigroup
 from lamrho.semigroup import associativity_witness
 
 
@@ -747,3 +750,141 @@ def _magmas(draw):
 @settings(max_examples=300, deadline=None)
 def test_associativity_witness_matches_scan_on_random_magmas(rows):
     assert associativity_witness(rows) == brute_force_nonassoc(rows)
+
+
+# ---------------------------------------------------------------------------
+# The byte-row kernel at its size limits
+
+
+def _tuple_light_witness(rows):
+    """Light's test on tuple rows over the greedy generators, then the
+    lexicographic scan: the kernel's path beyond 256 elements, written
+    again as a reference."""
+    rows = [tuple(r) for r in rows]
+    n = len(rows)
+    gens = semigroup._greedy_generators(rows)
+    if n > 1 and all(
+        tuple(row_x[v] for v in rows[g]) == rows[row_x[g]] for g in gens for row_x in rows
+    ):
+        return None
+    return brute_force_nonassoc(rows)
+
+
+def _first_failure_at(rows, a, b):
+    """First failing triple of a table that associates but for the cell
+    (a, b): every failing triple reads that cell as i*j, (i*j)*k, j*k or
+    i*(j*k), so only those O(n^2) candidates are scanned."""
+    n = len(rows)
+    candidates = {(a, b, k) for k in range(n)} | {(i, a, b) for i in range(n)}
+    candidates |= {(i, j, b) for i in range(n) for j in range(n) if rows[i][j] == a}
+    candidates |= {(a, j, k) for j in range(n) for k in range(n) if rows[j][k] == b}
+    for i, j, k in sorted(candidates):
+        if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
+            return (i, j, k)
+    return None
+
+
+def _cyclic(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def _left_zero(n):
+    # its only generating set is every element, so G = S
+    return [[i] * n for i in range(n)]
+
+
+def _left_zero_times_cyclic(m, n):
+    return [[(i // n) * n + (i + j) % n for j in range(m * n)] for i in range(m * n)]
+
+
+_EDGE = semigroup._GREEDY_FROM
+_BYTES = semigroup._BYTE_ROWS
+_EDGE_TABLES = {
+    f"{name}{n}": (make, n)
+    for n in (_EDGE - 1, _EDGE, _EDGE + 1, _BYTES - 1, _BYTES, _BYTES + 1)
+    for name, make in (("cyclic", _cyclic), ("left_zero", _left_zero))
+}
+_EDGE_TABLES.update({
+    "left_zero8_times_cyclic8": (lambda n: _left_zero_times_cyclic(8, 8), 64),
+    "left_zero15_times_cyclic17": (lambda n: _left_zero_times_cyclic(15, 17), 255),
+    "left_zero16_times_cyclic16": (lambda n: _left_zero_times_cyclic(16, 16), 256),
+})
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_TABLES))
+def test_the_byte_kernel_at_its_size_limits(name):
+    make, n = _EDGE_TABLES[name]
+    rows = make(n)
+    assert len(rows) == n
+    assert associativity_witness(rows) is None
+    if n <= _EDGE + 1:
+        assert brute_force_nonassoc(rows) is None
+    elif not name.startswith("left_zero"):  # n generators: n^3 steps in Python
+        assert _tuple_light_witness(rows) is None
+    # one entry changed late in lexicographic order; a left-zero table
+    # beyond the byte limit is changed in row 1, as the tuple kernel's scan
+    # walks n^2 triples for every row before the failing one
+    a = 1 if n > _BYTES and name.startswith("left_zero") else n - 1
+    b = n - 2
+    rows[a][b] = (rows[a][b] + 1) % n
+    witness = _first_failure_at(rows, a, b)
+    assert witness is not None and associativity_witness(rows) == witness
+    if n <= _EDGE + 1:
+        assert brute_force_nonassoc(rows) == witness
+    elif witness[0] < 2:
+        assert _tuple_light_witness(rows) == witness
+
+
+def test_small_tables_walk_no_generators_and_large_ones_do(monkeypatch):
+    walked = []
+    greedy = semigroup._greedy_generators
+    monkeypatch.setattr(
+        semigroup, "_greedy_generators", lambda rows: walked.append(len(rows)) or greedy(rows)
+    )
+    for n in (_EDGE - 1, _EDGE, _BYTES + 1):
+        assert associativity_witness(_cyclic(n)) is None
+    assert walked == [_EDGE, _BYTES + 1]
+
+
+def test_a_failing_light_test_leaves_the_witness_to_the_full_scan():
+    # Z_n with (n-1)*(n-2) changed: Light's test over G = (0, 1) first
+    # fails in row n-2, but the first failing triple has j = n-1, no
+    # generator, in an earlier row
+    for n in (_EDGE, _BYTES):
+        rows = _cyclic(n)
+        rows[n - 1][n - 2] = 1
+        assert semigroup._greedy_generators(rows) == (0, 1)
+        light = semigroup._byte_witness(semigroup._checked_rows(rows), bytes((0, 1)))
+        witness = _first_failure_at(rows, n - 1, n - 2)
+        assert light[0] == n - 2 and witness[0] < light[0]
+        assert associativity_witness(rows) == witness
+
+
+@pytest.mark.parametrize("n", [2, 3, _EDGE, _BYTES - 1, _BYTES, _BYTES + 1])
+@pytest.mark.parametrize("value", ["negative", "n", "byte"])
+def test_an_entry_outside_the_elements_is_refused(n, value):
+    rows = _cyclic(n)
+    bad = {"negative": -1, "n": n, "byte": max(n, 256) + 44}[value]
+    rows[n - 1][n - 1] = bad
+    with pytest.raises(OutOfRangeEntryError) as err:
+        associativity_witness(rows)
+    assert str(err.value) == f"entry ({n - 1},{n - 1}) = {bad} is not an element index"
+
+
+def test_a_negative_entry_is_not_read_from_the_end():
+    with pytest.raises(OutOfRangeEntryError, match=r"entry \(1,1\) = -1"):
+        associativity_witness([[0, 1], [1, -1]])
+
+
+@pytest.mark.parametrize("n", [3, _BYTES + 1])
+def test_a_short_row_is_refused(n):
+    rows = _cyclic(n)
+    rows[1] = rows[1][:-1]
+    with pytest.raises(TableFormatError, match=f"row 1 has length {n - 1}, expected {n}"):
+        associativity_witness(rows)
+
+
+def test_a_row_that_is_no_sequence_is_refused():
+    for table in ([2, 2], [(0, 1), 2]):
+        with pytest.raises(TypeError):
+            associativity_witness(table)
