@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
-    BUILTIN_SYSTEMS, DEFAULT_UNIVERSE_CAP, ActionLawError, SizeCapError, count_text
+    BUILTIN_SYSTEMS, DEFAULT_UNIVERSE_CAP, TABLE_CELL_CAP, ActionLawError, SizeCapError,
+    count_text,
 )
 from .semigroup import (
     JOIN2,
@@ -197,6 +198,10 @@ def _two_sided_table(
     total = n * block
     if total > cap:
         raise SizeCapError(f"product has {count_text(total)} elements, cap is {cap}")
+    if total * total > TABLE_CELL_CAP:
+        raise SizeCapError(
+            f"product has {count_text(total * total)} cells, cap is {TABLE_CELL_CAP}"
+        )
     weights = [m ** (carrier - 1 - q) for q in range(carrier)]
     fiber = list(itertools.product(range(m), repeat=carrier))
     table = []

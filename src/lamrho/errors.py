@@ -58,6 +58,12 @@ def count_text(count: int) -> str:
 DEFAULT_UNIVERSE_CAP = 10**6
 DEFAULT_ISO_CAP = 32
 DEFAULT_CONGRUENCE_CAP = 20000
+# The cells of one multiplication table that the product engine or an
+# action oracle builds, checked before any row (SizeCapError): past it,
+# that is past 3,162 elements, the row pointers alone would take over
+# 80 MB. It is fixed, with no flag or parameter: the universe cap bounds
+# what a caller asks for, this bounds what one table may cost.
+TABLE_CELL_CAP = 10**7
 
 # Built-in systems: library name -> CLI name (None: library only), read by
 # the CLI without loading an engine; ``actions`` builds each by ``_name_system``.

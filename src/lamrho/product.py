@@ -14,9 +14,11 @@ witnessing non-associativity, and this module constructs it.
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from .errors import (
     DEFAULT_UNIVERSE_CAP,
+    TABLE_CELL_CAP,
     EmptyFiberError,
     NotIdempotentError,
     SizeCapError,
@@ -77,6 +79,19 @@ def _offsets(
     return offsets
 
 
+def _table_offsets(h: FiniteSemigroup, system: LrSystem, cap: int) -> list[int]:
+    """:func:`_offsets` for a caller that builds the multiplication table,
+    refusing (SizeCapError) a table of more than ``TABLE_CELL_CAP`` cells
+    too, before any row."""
+    offsets = _offsets(h, system, cap)
+    cells = offsets[-1] ** 2
+    if cells > TABLE_CELL_CAP:
+        raise SizeCapError(
+            f"product table has {count_text(cells)} cells, cap is {TABLE_CELL_CAP}"
+        )
+    return offsets
+
+
 def universe_size(h: FiniteSemigroup, system: LrSystem) -> int:
     return _offsets(h, system)[-1]
 
@@ -106,51 +121,88 @@ def _route(h: FiniteSemigroup, lam, rho, x, y) -> tuple[int, ...]:
 def _rows(h: FiniteSemigroup, system: LrSystem, offsets) -> tuple[tuple[int, ...], ...]:
     """The multiplication table on codes, one row per left factor.
 
-    For a pair of anchors (a, b) with k = |I[ab]|, the code of
-    (x, a) * (y, b) is offset[ab] + sum_j f_j(y_j) over the coordinates j
-    of y, where f_j(v) adds up x[lam[a,b](i)] * v (in H) weighted
-    |H|^(k-1-i) over the coordinates i of the result with rho[a,b](i) = j.
-    So the row of (x, a) over anchor b holds these sums for all tuples y
-    in lexicographic order: one integer addition per cell, and no element
-    built or hashed.
+    For anchors (a, b) with k = |I[ab]|, the code of (x, a) * (y, b) is
+    offset[ab] + sum_i x[lam(i)] * y[rho(i)] |H|^(k-1-i) over the
+    coordinates i of the result, with lam, rho the maps at (a, b) and the
+    products taken in H. Grouped by the digit l = lam(i) of x that each
+    term reads, the row of (x, a) is a start vector plus one vector per
+    digit of x: for digit l holding u, the vector over all (y, b) in code
+    order whose segment at b holds y -> sum of u * y[rho(i)] |H|^(k-1-i)
+    over the i with lam(i) = l (zeros where no such i exists). Each
+    anchor a gets these |H| vectors per digit once, each term laid out for
+    all u at once by list repetition and ``zip``, and a digit that no
+    coordinate at any b reads gets none.
+
+    The rows of anchor a then come from a walk over the digits of x in
+    code order (:func:`_walk`): a step fixes one digit and adds its vector
+    to the partial sum with ``map(operator.add, ...)``, and a leaf is one
+    row. A cell costs one C-level addition per level, about |H|/(|H|-1)
+    over all levels, and only the current row, one anchor's vectors and
+    one partial sum per level are live at once. Below a digit that no
+    coordinate reads, every value gives the same rows, so they are walked
+    once and repeated, the repeats sharing its tuples.
     """
     m = h.size
-    base = system.base
     sizes = system.index_sizes
-    h_rows = h.table
-    # routing per anchor pair (a, b): the offset of ab, and for each
-    # coordinate j of y the (lam value, weight) pairs of the result
-    # coordinates i with rho[a,b](i) = j
-    routes = []
-    for a in base.elements():
-        per_a = []
-        for b in base.elements():
-            ab = base.mul(a, b)
-            k = sizes[ab]
-            lam, rho = system.lam_map(a, b), system.rho_map(a, b)
-            terms = [[] for _ in range(sizes[b])]
-            for i in range(k):
-                terms[rho[i]].append((lam[i], m ** (k - 1 - i)))
-            per_a.append((offsets[ab], terms))
-        routes.append(per_a)
+    # scaled[e][v][u]: (u * v in H) |H|^e
+    scaled = [list(zip(*h.table))]
+    while len(scaled) < max(sizes):
+        scaled.append([[uv * m for uv in column] for column in scaled[-1]])
     # cells hold the same int objects, one per element, as a table built
     # from an index list would
-    codes = list(range(offsets[-1]))
-    zero = (0,) * m
+    code = list(range(offsets[-1])).__getitem__
+    n = system.base.size
     rows = []
-    for a, x in _tuples(h, system):
-        row = []
-        for start, terms in routes[a]:
-            segment = [start]
-            for reads in terms:
-                f = zero
-                for l, w in reads:
-                    hx = h_rows[x[l]]
-                    f = [f[v] + hx[v] * w for v in range(m)]
-                segment = [s + t for s in segment for t in f]
-            row.extend(segment)
-        rows.append(tuple(map(codes.__getitem__, row)))
+    for a, products in enumerate(system.base.table):
+        start = []
+        # vectors[l][u]: added to the row when digit l of x holds u
+        vectors = [[[] for _ in range(m)] for _ in range(sizes[a])]
+        read = [False] * sizes[a]
+        for b, ab in enumerate(products):
+            k, fiber = sizes[ab], sizes[b]
+            block = m**fiber
+            start += [offsets[ab]] * block
+            # terms[l][u]: the segment of vectors[l][u] at b
+            zero = ((0,) * block,) * m
+            terms = [zero] * sizes[a]
+            for i, (l, j) in enumerate(zip(system.lam[a * n + b], system.rho[a * n + b])):
+                # y -> scaled[k-1-i][y[j]] over the y in code order: each
+                # value for the |H|^(fiber-1-j) tuples that agree up to
+                # digit j, that run repeated for the digits before it
+                run = []
+                for value in scaled[k - 1 - i]:
+                    run += [value] * m ** (fiber - 1 - j)
+                term = zip(*run * m**j)
+                terms[l] = (
+                    list(term) if terms[l] is zero
+                    else [tuple(map(add, s, t)) for s, t in zip(terms[l], term)]
+                )
+                read[l] = True
+            for per_value, segments in zip(vectors, terms):
+                for vector, segment in zip(per_value, segments):
+                    vector += segment
+        _walk(start, [v if r else None for v, r in zip(vectors, read)], 0, m, code, rows)
     return tuple(rows)
+
+
+def _walk(partial, vectors, depth, m, code, rows) -> None:
+    """Appends, in code order, the rows of the x whose digits before
+    ``depth`` are fixed with the row sum ``partial``; ``vectors[l]`` holds
+    the |H| vectors of digit l, or None when adding them changes nothing."""
+    if depth == len(vectors):
+        rows.append(tuple(map(code, partial)))
+        return
+    step = vectors[depth]
+    if step is None:
+        # every value of this digit gives the same rows below it
+        first = len(rows)
+        _walk(partial, vectors, depth + 1, m, code, rows)
+        rows += rows[first:] * (m - 1)
+    elif depth + 1 == len(vectors):
+        rows += [tuple(map(code, map(add, partial, vector))) for vector in step]
+    else:
+        for vector in step:
+            _walk(list(map(add, partial, vector)), vectors, depth + 1, m, code, rows)
 
 
 def product_table(
@@ -164,7 +216,7 @@ def product_table(
     FiniteSemigroup: :func:`_rows` takes every cell from the list of the
     ``offsets[-1]`` codes and gives every row that many cells.
     """
-    offsets = _offsets(h, system, cap)
+    offsets = _table_offsets(h, system, cap)
     # each value of H spelled once, not once per coordinate
     digits = list(map(str, h.elements()))
     names = tuple(itertools.starmap(_name, _tuples(h, system, digits)))
@@ -191,7 +243,7 @@ def associativity_oracle(
     tested by :func:`associativity_witness`, so the witness is the first
     failing triple in enumeration order, if any.
     """
-    witness = associativity_witness(_rows(h, system, _offsets(h, system, cap)))
+    witness = associativity_witness(_rows(h, system, _table_offsets(h, system, cap)))
     if witness is None:
         return AssociativityReport(True)
     elements = list(_tuples(h, system))

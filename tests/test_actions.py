@@ -232,6 +232,15 @@ def test_oracle_cap_message_past_the_int_to_str_limit():
     assert str(info.value) == "product has at least 2**15849 elements, cap is 1000000"
 
 
+def test_oracle_cells_are_capped():
+    # Z2 wr the trivial action of the trivial semigroup on 12 points: 4,096
+    # elements, under the universe cap, and 16,777,216 cells
+    action = RightAction(TRIVIAL, 12, tuple((x,) for x in range(12)))
+    with pytest.raises(SizeCapError) as info:
+        wreath_oracle(Z2, action)
+    assert str(info.value) == "product has 16777216 cells, cap is 10000000"
+
+
 # Reference constructions: each builder written out on its own.
 
 

@@ -9,11 +9,16 @@ same bytes when run twice.
 import contextlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import lamrho
 from lamrho.cli import main
 
 # the flags each command reads, and the kind of value each expects there
@@ -46,11 +51,18 @@ SYSTEM_DOC = {
     "rho": {"0,0": [0], "0,1": [0, 1], "1,0": [0, 0], "1,1": [0, 0]},
 }
 
+# the identity maps on one 13-point fiber over the trivial semigroup: with
+# H = Z2, 8,192 elements, under the universe cap, and 67,108,864 cells
+FIBER_13 = json.dumps({
+    "base": "trivial", "index_sizes": [13],
+    "lambda": {"0,0": list(range(13))}, "rho": {"0,0": list(range(13))},
+})
+
 GOOD = {
     "semigroup": ["trivial", "z2", "z3", "l2", "r2", "l2_1", "join2", "meet2",
                   "{FILE}sg.json", "{FILE}l2_1.json", '{"size": 2, "table": [[0, 1], [1, 0]]}'],
     "system": ["flipflop_system", "lzero_system", "nonsemidirect_system",
-               "{FILE}system.json", json.dumps(SYSTEM_DOC)],
+               "{FILE}system.json", json.dumps(SYSTEM_DOC), FIBER_13],
     "action": ["{FILE}action.json", '{"carrier": 2, "base": "z2", "act": [[0, 1], [1, 0]]}',
                '{"carrier": 2, "base": "l2", "left": [[0, 1], [0, 1]], "right": [[0, 0], [1, 1]]}'],
     "partition": ["[[0,1]]", "[[0],[1]]", "[[0,1,2]]", "[[0],[1,2]]", "[[0,2],[1]]",
@@ -163,3 +175,20 @@ def test_cli_keeps_its_exit_code_contract(workdir, data):
     assert "Traceback" not in err
     again = run(argv)
     assert again[:2] == (code, out), argv
+
+
+def test_a_table_past_the_cell_cap_is_refused_before_it_is_built():
+    # in a child limited to 512 MB of address space, which the table's
+    # 67,108,864 row pointers alone would exceed
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "lamrho.cli", "product", "--base", FIBER_13, "--h", "z2"],
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "inconclusive: product table has 67108864 cells, cap is 10000000\n"

@@ -1,4 +1,8 @@
 import itertools
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +10,7 @@ from hypothesis import strategies as st
 from test_acceptance import _perturbed_single_axiom_candidates
 from test_checkers import perturbations
 
+import lamrho
 from lamrho import (
     CATALOG,
     JOIN2,
@@ -20,16 +25,22 @@ from lamrho import (
     LrSystem,
     NotIdempotentError,
     ProductElement,
+    RightAction,
+    SizeCapError,
     associativity_oracle,
     axiom_violations,
     builtin_system,
+    direct_product,
     element_as_subset,
     embed_base,
     embed_fiber,
     empty_system,
     enumerate_systems,
     find_isomorphism,
+    from_right_action,
+    from_two_sided_action,
     multiply,
+    natural_two_sided_action,
     nonassociativity_witness,
     product_table,
     subset_multiply,
@@ -103,6 +114,71 @@ def test_product_table_checks_its_cap_before_any_row(monkeypatch):
     monkeypatch.setattr(product, "_rows", no_rows)
     with pytest.raises(SizeCapError):
         product_table(Z3, builtin_system("flip_flop"), cap=11)
+
+
+# the identity maps on one 12-point fiber over the trivial semigroup: with
+# H = Z2, 4,096 elements, under the universe cap, and 16,777,216 cells
+FIBER_12 = LrSystem(TRIVIAL, (12,), (tuple(range(12)),), (tuple(range(12)),))
+
+
+@pytest.mark.parametrize("build", [product_table, associativity_oracle])
+def test_table_cells_are_capped_before_any_row(monkeypatch, build):
+    from lamrho import product
+
+    def no_rows(*args):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(product, "_rows", no_rows)
+    with pytest.raises(SizeCapError) as info:
+        build(Z2, FIBER_12)
+    assert str(info.value) == "product table has 16777216 cells, cap is 10000000"
+    # the universe cap is checked first, and names elements
+    with pytest.raises(SizeCapError, match="universe has 4096 elements, cap is 4095"):
+        build(Z2, FIBER_12, cap=4095)
+
+
+def test_large_tables_hold_one_int_object_per_code():
+    # past 256 elements CPython shares no int objects of its own, so every
+    # cell holding the code's one object is a property of the builder: Z3
+    # wr Z2xZ2 (324 elements) and P, Z2 over the natural two-sided action
+    # of L2_1 (1,536)
+    klein = direct_product(Z2, Z2)
+    regular = RightAction(
+        klein, 4, tuple(tuple(klein.mul(x, a) for a in range(4)) for x in range(4))
+    )
+    p = from_two_sided_action(natural_two_sided_action(L2_1))
+    for t in (product_table(Z3, from_right_action(regular)), product_table(Z2, p)):
+        assert t.size in (324, 1536)
+        assert len({id(v) for row in t.table for v in row}) == t.size
+
+
+P_PEAK_RSS_GROWTH = """
+import sys
+from lamrho import L2_1, Z2, from_two_sided_action, natural_two_sided_action, product_table
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+system = from_two_sided_action(natural_two_sided_action(L2_1))
+before = peak()
+t = product_table(Z2, system)
+print((peak() - before) * 1024, t.size * t.size * 8 + t.size * sys.getsizeof(()))
+"""
+
+
+def test_building_p_peaks_near_the_bytes_of_its_table():
+    # the growth of a fresh interpreter's peak resident set (VmHWM, kB),
+    # as in test_checkers, against the finished table: n**2 row pointers
+    # plus n tuple headers, the int objects aside. Rows held as lists and
+    # copied to tuples at the end would hold the table twice over
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamrho.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", P_PEAK_RSS_GROWTH],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    growth, table = map(int, proc.stdout.split())
+    assert growth <= 1.5 * table
 
 
 def test_product_table_is_what_the_checked_constructor_accepts():
@@ -377,6 +453,61 @@ def test_product_table_matches_reference_on_random_systems(case):
     h, system = case
     table = product_table(h, system)
     assert (table.table, table.names) == reference_product_table(h, system)
+
+
+def _random_system(rng, base, sizes):
+    """A shape-valid system with fibers ``sizes``: each map at random, or,
+    one pair in three, a lam reading one digit only."""
+    n = base.size
+    lam, rho = [], []
+    for a, b in itertools.product(range(n), repeat=2):
+        k = sizes[base.mul(a, b)]
+        constant = rng.randrange(3) == 0
+        lam.append(tuple(
+            (0 if constant else rng.randrange(sizes[a])) for _ in range(k)
+        ))
+        rho.append(tuple(rng.randrange(sizes[b]) for _ in range(k)))
+    return LrSystem(base, tuple(sizes), tuple(lam), tuple(rho))
+
+
+# (H, base, fibers): a 4-element H, fibers of 4 and empty fibers (at the
+# zero of MEET2, where the products of 0 land), with universes of at most
+# 200 elements
+SHAPES = [
+    (direct_product(Z2, Z2), TRIVIAL, (3,)),
+    (direct_product(Z2, Z2), JOIN2, (1, 3)),
+    (direct_product(Z2, Z2), MEET2, (0, 3)),
+    (direct_product(Z2, Z2), L2, (2, 2)),
+    (Z3, TRIVIAL, (4,)),
+    (Z3, L2, (4, 3)),
+    (Z3, MEET2, (0, 4)),
+    (Z2, Z2, (4, 4)),
+    (Z2, L2_1, (4, 3, 4)),
+    (L2_1, JOIN2, (4, 2)),
+    (L2_1, MEET2, (0, 4)),
+]
+
+
+def _shape_cases():
+    rng = random.Random(30)
+    return [(h, _random_system(rng, base, sizes)) for h, base, sizes in SHAPES for _ in range(3)]
+
+
+def test_product_table_matches_reference_on_shapes_hypothesis_misses():
+    cases = _shape_cases()
+    maps = [
+        (s.index_sizes[a], s.lam_map(a, b))
+        for _, s in cases
+        for a, b in itertools.product(s.base.elements(), repeat=2)
+    ]
+    # a lam not onto I[a], so a digit of x no coordinate reads, and a lam
+    # that is not injective, so a digit several coordinates read
+    assert any(len(set(lam)) < k for k, lam in maps)
+    assert any(len(set(lam)) < len(lam) for _, lam in maps)
+    for h, system in cases:
+        assert universe_size(h, system) <= 200
+        table = product_table(h, system)
+        assert (table.table, table.names) == reference_product_table(h, system)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
